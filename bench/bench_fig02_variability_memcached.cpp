@@ -3,29 +3,22 @@
  * Figure 2: memcached tail-latency variability across instance types on EC2 and GCE.
  *
  * Usage: bench_fig02_variability_memcached [loadScale] [seed] [threads]
- *   loadScale scales the scenario load curves (default 1.0 = paper scale);
- *   seed selects the deterministic random seed (default 42);
- *   threads sets the worker count for the per-instance-type sampling
- *   cells (default: HCLOUD_THREADS env var or hardware concurrency;
- *   1 forces serial execution). Results are bit-identical at any
- *   thread count.
+ *                                          [--json <path>] [--trace <path>]
+ *                                          [--timeline <path>] [--metrics-port <port>]
+ *
+ * The shared bench command line is documented in exp/cli.hpp. Output is
+ * bit-identical at any thread count.
  */
 
-#include <cstdlib>
-
+#include "exp/cli.hpp"
 #include "exp/figures.hpp"
 
 int
 main(int argc, char** argv)
 {
-    hcloud::exp::ExperimentOptions opt;
-    if (argc > 1)
-        opt.loadScale = std::atof(argv[1]);
-    if (argc > 2)
-        opt.seed = std::strtoull(argv[2], nullptr, 10);
-    if (argc > 3)
-        opt.threads = static_cast<std::size_t>(
-            std::strtoull(argv[3], nullptr, 10));
-    hcloud::exp::fig02VariabilityMemcached(opt);
-    return 0;
+    return hcloud::exp::benchMain(
+        argc, argv, "fig02_variability_memcached",
+        [](hcloud::exp::Runner& runner) {
+            hcloud::exp::fig02VariabilityMemcached(runner.options());
+        });
 }

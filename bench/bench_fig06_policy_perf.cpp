@@ -4,12 +4,10 @@
  *
  * Usage: bench_fig06_policy_perf [loadScale] [seed] [threads]
  *                                [--json <path>] [--trace <path>]
- *                                [--metrics-port <port>]
- *   loadScale scales the scenario load curves (default 1.0 = paper scale);
- *   seed selects the deterministic random seed (default 42);
- *   --json writes a machine-readable report of every run;
- *   --trace forces tracing on and writes the event streams as JSONL
- *   (without it, the HCLOUD_TRACE environment knob decides).
+ *                                [--timeline <path>] [--metrics-port <port>]
+ *
+ * The shared bench command line is documented in exp/cli.hpp. Output is
+ * bit-identical at any thread count.
  */
 
 #include "exp/cli.hpp"
@@ -18,17 +16,7 @@
 int
 main(int argc, char** argv)
 {
-    hcloud::exp::BenchCli cli = hcloud::exp::parseBenchCli(argc, argv);
-    if (cli.parseError)
-        return 2;
-    hcloud::exp::ScopedMetricsServer metrics(cli);
-    if (metrics.failed())
-        return 1;
-    hcloud::exp::Runner runner(cli.options, cli.engineConfig());
-    runner.setRecordAdhoc(cli.wantsArtifacts());
-    hcloud::exp::fig06PolicyPerf(runner);
-    return hcloud::exp::writeBenchArtifacts(cli, "fig06_policy_perf",
-                                            runner)
-        ? 0
-        : 1;
+    return hcloud::exp::benchMain(
+        argc, argv, "fig06_policy_perf",
+        hcloud::exp::fig06PolicyPerf);
 }

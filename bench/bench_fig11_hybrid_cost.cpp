@@ -2,24 +2,21 @@
  * @file
  * Figure 11: cost comparison between SR, HF and HM.
  *
- * Usage: bench_fig11_hybrid_cost [loadScale] [seed]
- *   loadScale scales the scenario load curves (default 1.0 = paper scale);
- *   seed selects the deterministic random seed (default 42).
+ * Usage: bench_fig11_hybrid_cost [loadScale] [seed] [threads]
+ *                                [--json <path>] [--trace <path>]
+ *                                [--timeline <path>] [--metrics-port <port>]
+ *
+ * The shared bench command line is documented in exp/cli.hpp. Output is
+ * bit-identical at any thread count.
  */
 
-#include <cstdlib>
-
+#include "exp/cli.hpp"
 #include "exp/figures.hpp"
 
 int
 main(int argc, char** argv)
 {
-    hcloud::exp::ExperimentOptions opt;
-    if (argc > 1)
-        opt.loadScale = std::atof(argv[1]);
-    if (argc > 2)
-        opt.seed = std::strtoull(argv[2], nullptr, 10);
-    hcloud::exp::Runner runner(opt);
-    hcloud::exp::fig11HybridCost(runner);
-    return 0;
+    return hcloud::exp::benchMain(
+        argc, argv, "fig11_hybrid_cost",
+        hcloud::exp::fig11HybridCost);
 }

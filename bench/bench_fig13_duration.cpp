@@ -3,30 +3,20 @@
  * Figure 13: absolute cost versus workload scenario duration.
  *
  * Usage: bench_fig13_duration [loadScale] [seed] [threads]
- *   loadScale scales the scenario load curves (default 1.0 = paper scale);
- *   seed selects the deterministic random seed (default 42);
- *   threads sets the worker count (default: HCLOUD_THREADS env var or
- *   hardware concurrency; 1 forces serial execution). Results are
- *   bit-identical at any thread count.
+ *                             [--json <path>] [--trace <path>]
+ *                             [--timeline <path>] [--metrics-port <port>]
+ *
+ * The shared bench command line is documented in exp/cli.hpp. Output is
+ * bit-identical at any thread count.
  */
 
-#include <cstdlib>
-
+#include "exp/cli.hpp"
 #include "exp/figures.hpp"
-#include "runtime/parallel_runner.hpp"
 
 int
 main(int argc, char** argv)
 {
-    hcloud::exp::ExperimentOptions opt;
-    if (argc > 1)
-        opt.loadScale = std::atof(argv[1]);
-    if (argc > 2)
-        opt.seed = std::strtoull(argv[2], nullptr, 10);
-    if (argc > 3)
-        opt.threads = static_cast<std::size_t>(
-            std::strtoull(argv[3], nullptr, 10));
-    hcloud::runtime::ParallelRunner runner(opt);
-    hcloud::exp::fig13Duration(runner);
-    return 0;
+    return hcloud::exp::benchMain(
+        argc, argv, "fig13_duration",
+        hcloud::exp::fig13Duration);
 }

@@ -2,24 +2,22 @@
  * @file
  * Table 1: qualitative comparison of provisioning configurations, with concrete prices.
  *
- * Usage: bench_table1_strategy_matrix [loadScale] [seed]
- *   loadScale scales the scenario load curves (default 1.0 = paper scale);
- *   seed selects the deterministic random seed (default 42).
+ * Usage: bench_table1_strategy_matrix [loadScale] [seed] [threads]
+ *                                     [--json <path>] [--trace <path>]
+ *                                     [--timeline <path>] [--metrics-port <port>]
+ *
+ * The shared bench command line is documented in exp/cli.hpp. Output is
+ * bit-identical at any thread count. The table is static: loadScale and seed
+ * are accepted but unused.
  */
 
-#include <cstdlib>
-
+#include "exp/cli.hpp"
 #include "exp/figures.hpp"
 
 int
 main(int argc, char** argv)
 {
-    hcloud::exp::ExperimentOptions opt;
-    if (argc > 1)
-        opt.loadScale = std::atof(argv[1]);
-    if (argc > 2)
-        opt.seed = std::strtoull(argv[2], nullptr, 10);
-    (void)opt;
-    hcloud::exp::table1StrategyMatrix();
-    return 0;
+    return hcloud::exp::benchMain(
+        argc, argv, "table1_strategy_matrix",
+        [](hcloud::exp::Runner&) { hcloud::exp::table1StrategyMatrix(); });
 }

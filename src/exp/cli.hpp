@@ -50,6 +50,7 @@
 #define HCLOUD_EXP_CLI_HPP
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -152,6 +153,24 @@ BenchCli parseBenchCli(int argc, char** argv, bool allowSweep = false);
 bool writeBenchArtifacts(const BenchCli& cli, const std::string& title,
                          const Runner& runner,
                          const std::vector<SweepResult>& sweeps = {});
+
+/** Builds a bench's multi-seed sweep grid from the CLI's engine config. */
+using SweepGridFn = std::vector<SweepCell> (*)(const core::EngineConfig&);
+
+/**
+ * The whole main() of a figure bench: parse the command line (exit 2 on
+ * a malformed one), serve live metrics when asked (exit 1 when the
+ * server cannot start), run @p figure on a Runner built from the CLI,
+ * and write the requested artifacts under @p title (exit 1 when one
+ * fails to write).
+ *
+ * A bench that passes @p sweepGrid also accepts `--seeds <n>` / `--ci`:
+ * they replace the figure with a multi-seed runSweep over the grid,
+ * printed as a mean +/- 95% CI table and reported in `sweeps[]`.
+ */
+int benchMain(int argc, char** argv, const std::string& title,
+              const std::function<void(Runner&)>& figure,
+              SweepGridFn sweepGrid = nullptr);
 
 /**
  * RAII wrapper a bench main drops on its stack: starts the metrics HTTP
