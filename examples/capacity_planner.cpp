@@ -60,6 +60,10 @@ main(int argc, char** argv)
                 toString(kind), weeks, 100.0 * min_perf);
 
     exp::Runner runner;
+    std::vector<exp::Runner::CellKey> cells;
+    for (core::StrategyKind s : core::kAllStrategies)
+        cells.emplace_back(kind, s, true);
+    runner.fill(cells);
     const cloud::AwsStylePricing pricing;
     std::vector<Candidate> candidates;
     for (core::StrategyKind s : core::kAllStrategies) {

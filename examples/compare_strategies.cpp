@@ -44,12 +44,18 @@ main(int argc, char** argv)
     opt.loadScale = load_scale;
     exp::Runner runner(opt);
 
-    const workload::TraceStats stats = runner.trace(kind).stats();
+    const workload::TraceStats stats =
+        workload::generateScenario(runner.scenarioConfig(kind)).stats();
     std::printf("scenario %s  scale %.2f  jobs %zu  cores [%0.f, %0.f] "
                 "(%.1fx)  profiling=%s\n",
                 toString(kind), load_scale, stats.jobCount, stats.minCores,
                 stats.maxCores, stats.maxMinCoreRatio,
                 profiling ? "on" : "off");
+
+    std::vector<exp::Runner::CellKey> cells;
+    for (core::StrategyKind s : core::kAllStrategies)
+        cells.emplace_back(kind, s, profiling);
+    runner.fill(cells);
 
     const cloud::AwsStylePricing pricing;
     std::vector<std::vector<std::string>> rows;

@@ -49,11 +49,21 @@ main(int argc, char** argv)
             .cost(pricing)
             .total();
 
-    std::vector<std::vector<std::string>> rows;
+    std::vector<exp::SweepCell> cells;
     for (core::PolicyKind policy : core::kAllPolicies) {
-        core::EngineConfig cfg = runner.baseConfig();
-        cfg.mappingPolicy = policy;
-        const core::RunResult r = runner.runWith(kind, strategy, cfg);
+        exp::SweepCell cell;
+        cell.scenario = kind;
+        cell.strategy = strategy;
+        cell.config = runner.baseConfig();
+        cell.config.mappingPolicy = policy;
+        cells.push_back(std::move(cell));
+    }
+    const std::vector<core::RunResult> runs = runner.sweep(cells);
+
+    std::vector<std::vector<std::string>> rows;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        const core::RunResult& r = runs[i];
+        const core::PolicyKind policy = core::kAllPolicies[i];
         rows.push_back({
             toString(policy),
             exp::fmt(100.0 * r.perfReserved.mean(), 1),

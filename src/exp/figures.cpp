@@ -294,6 +294,21 @@ table2Scenarios(const ExperimentOptions& opt)
 
 namespace detail {
 
+std::vector<Runner::CellKey>
+matrixCells(const std::vector<core::StrategyKind>& strategies,
+            bool withUnprofiled)
+{
+    std::vector<Runner::CellKey> keys;
+    for (workload::ScenarioKind scenario : workload::kAllScenarios) {
+        for (core::StrategyKind s : strategies) {
+            keys.emplace_back(scenario, s, true);
+            if (withUnprofiled)
+                keys.emplace_back(scenario, s, false);
+        }
+    }
+    return keys;
+}
+
 double
 staticSrCost(Runner& runner, const cloud::PricingModel& pricing)
 {
@@ -367,6 +382,10 @@ fig04BaselinePerf(Runner& runner)
 {
     printHeader("Figure 4: SR / OdF / OdM performance, with and without "
                 "profiling information");
+    runner.fill(detail::matrixCells(
+        {core::StrategyKind::SR, core::StrategyKind::OdF,
+         core::StrategyKind::OdM},
+        /*withUnprofiled=*/true));
     detail::perfPanel(runner, {core::StrategyKind::SR, core::StrategyKind::OdF,
                        core::StrategyKind::OdM});
     // Headline: profiling info is worth ~2.4x for SR on average.
@@ -397,6 +416,9 @@ fig05BaselineCost(Runner& runner)
 {
     printHeader("Figure 5: cost of fully reserved and on-demand systems "
                 "(2-hour run, AWS-style pricing, amortized reservations)");
+    runner.fill(detail::matrixCells({core::StrategyKind::SR,
+                                     core::StrategyKind::OdF,
+                                     core::StrategyKind::OdM}));
     detail::costPanel(runner, {core::StrategyKind::SR, core::StrategyKind::OdF,
                        core::StrategyKind::OdM});
     printClaim("on-demand more cost-efficient short-term", "~2.5x",
@@ -405,20 +427,31 @@ fig05BaselineCost(Runner& runner)
 
 namespace {
 
-/** Run the high-variability scenario under one mapping policy. */
-core::RunResult
-policyRun(Runner& runner, core::StrategyKind strategy,
-          core::PolicyKind policy)
+/**
+ * The high-variability scenario under HF and HM with every mapping
+ * policy, in (strategy, policy) order (Figures 6-7).
+ */
+std::vector<core::RunResult>
+policyRuns(Runner& runner)
 {
-    core::EngineConfig cfg = runner.baseConfig();
-    cfg.useProfiling = true;
-    cfg.mappingPolicy = policy;
-    // Label carries the policy so ad-hoc report entries stay tellable
-    // apart (every sweep point shares scenario and strategy).
-    std::string label = "high_variability/";
-    label += toString(policy);
-    return runner.runWith(workload::ScenarioKind::HighVariability,
-                          strategy, cfg, label);
+    std::vector<SweepCell> cells;
+    for (core::StrategyKind s :
+         {core::StrategyKind::HF, core::StrategyKind::HM}) {
+        for (core::PolicyKind p : core::kAllPolicies) {
+            SweepCell cell;
+            cell.scenario = workload::ScenarioKind::HighVariability;
+            cell.strategy = s;
+            cell.config = runner.baseConfig();
+            cell.config.useProfiling = true;
+            cell.config.mappingPolicy = p;
+            // Label carries the policy so ad-hoc report entries stay
+            // tellable apart (every sweep point shares scenario and
+            // strategy).
+            cell.label = std::string("high_variability/") + toString(p);
+            cells.push_back(std::move(cell));
+        }
+    }
+    return runner.sweep(cells);
 }
 
 } // namespace
@@ -428,11 +461,13 @@ fig06PolicyPerf(Runner& runner)
 {
     printHeader("Figure 6: mapping-policy sensitivity (high-variability "
                 "scenario) - perf normalized to isolation, %");
+    const std::vector<core::RunResult> runs = policyRuns(runner);
     std::vector<std::vector<std::string>> rows;
+    std::size_t i = 0;
     for (core::StrategyKind s :
          {core::StrategyKind::HF, core::StrategyKind::HM}) {
         for (core::PolicyKind p : core::kAllPolicies) {
-            const core::RunResult r = policyRun(runner, s, p);
+            const core::RunResult& r = runs[i++];
             rows.push_back(
                 {toString(s), toString(p),
                  fmt(100.0 * r.perfReserved.mean(), 1),
@@ -460,11 +495,13 @@ fig07PolicyUtilCost(Runner& runner)
                 "policies (high-variability scenario)");
     const cloud::AwsStylePricing pricing;
     const double base = detail::staticSrCost(runner, pricing);
+    const std::vector<core::RunResult> runs = policyRuns(runner);
     std::vector<std::vector<std::string>> rows;
+    std::size_t i = 0;
     for (core::StrategyKind s :
          {core::StrategyKind::HF, core::StrategyKind::HM}) {
         for (core::PolicyKind p : core::kAllPolicies) {
-            const core::RunResult r = policyRun(runner, s, p);
+            const core::RunResult& r = runs[i++];
             rows.push_back({toString(s), toString(p),
                             fmt(100.0 * r.reservedUtilizationAvg, 1),
                             fmt(r.cost(pricing).total() / base, 2),

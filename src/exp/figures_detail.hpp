@@ -6,6 +6,7 @@
 #ifndef HCLOUD_EXP_FIGURES_DETAIL_HPP
 #define HCLOUD_EXP_FIGURES_DETAIL_HPP
 
+#include <iterator>
 #include <vector>
 
 #include "cloud/pricing.hpp"
@@ -13,6 +14,16 @@
 #include "exp/runner.hpp"
 
 namespace hcloud::exp::detail {
+
+/**
+ * Matrix keys of every scenario x @p strategies, profiled, plus the
+ * unprofiled twin of each when @p withUnprofiled is set — what a figure
+ * driver hands to Runner::fill before reading its cells.
+ */
+std::vector<Runner::CellKey> matrixCells(
+    const std::vector<core::StrategyKind>& strategies =
+        {std::begin(core::kAllStrategies), std::end(core::kAllStrategies)},
+    bool withUnprofiled = false);
 
 /** Normalized-cost denominator: the static scenario under SR. */
 double staticSrCost(Runner& runner, const cloud::PricingModel& pricing);

@@ -24,6 +24,14 @@ fig10HybridPerf(Runner& runner)
 {
     printHeader("Figure 10: SR / HF / HM performance, with and without "
                 "profiling information");
+    std::vector<Runner::CellKey> cells = detail::matrixCells(
+        {core::StrategyKind::SR, core::StrategyKind::HF,
+         core::StrategyKind::HM},
+        /*withUnprofiled=*/true);
+    for (const Runner::CellKey& key : detail::matrixCells(
+             {core::StrategyKind::OdF, core::StrategyKind::OdM}))
+        cells.push_back(key);
+    runner.fill(cells);
     detail::perfPanel(runner,
                       {core::StrategyKind::SR, core::StrategyKind::HF,
                        core::StrategyKind::HM});
@@ -64,6 +72,9 @@ fig11HybridCost(Runner& runner)
 {
     printHeader("Figure 11: cost comparison SR / HF / HM "
                 "(reserved vs on-demand split)");
+    runner.fill(detail::matrixCells({core::StrategyKind::SR,
+                                     core::StrategyKind::HF,
+                                     core::StrategyKind::HM}));
     detail::costPanel(runner,
                       {core::StrategyKind::SR, core::StrategyKind::HF,
                        core::StrategyKind::HM});
@@ -93,9 +104,7 @@ fig12PriceRatio(Runner& runner)
 {
     printHeader("Figure 12: cost sensitivity to the on-demand:reserved "
                 "price ratio (normalized to static SR at ratio 2.74)");
-    // Fill the 3x5 profiled matrix up front: under a ParallelRunner the
-    // cells run concurrently; on the serial Runner this is a no-op split.
-    runner.prewarm();
+    runner.fill(detail::matrixCells());
     const double base =
         detail::staticSrCost(runner, cloud::AwsStylePricing());
     const double ratios[] = {0.01, 0.5, 1.0, 1.5, 2.0, 2.74, 3.0, 4.0};
@@ -125,7 +134,7 @@ fig13Duration(Runner& runner)
 {
     printHeader("Figure 13: absolute cost vs scenario duration "
                 "(x1000 $, reservations charged as full 1-year terms)");
-    runner.prewarm();
+    runner.fill(detail::matrixCells());
     const cloud::AwsStylePricing pricing;
     const double weeks[] = {1, 5, 10, 15, 20, 25, 30, 40, 52, 60};
     for (workload::ScenarioKind scenario : workload::kAllScenarios) {
@@ -154,30 +163,33 @@ fig13Duration(Runner& runner)
 
 namespace {
 
-/** Per-strategy p5-of-perf table over a swept engine-config knob. */
+/**
+ * Per-strategy p5-of-perf (and optionally cost) tables over one swept
+ * knob of the high-variability scenario: one cell per (strategy x knob),
+ * all in one sweep. @p configure applies a knob value to a cell; the
+ * columns read "<knobHeader><knob><knobSuffix>".
+ */
 template <typename Configure>
 void
 sensitivitySweep(Runner& runner, const char* knobHeader,
                  const std::vector<double>& knobs, Configure configure,
-                 bool withCost)
+                 bool withCost, const char* knobSuffix = "")
 {
     const cloud::AwsStylePricing pricing;
     const double base = detail::staticSrCost(runner, pricing);
-    // One spec per (strategy x knob) point. runBatch() returns results in
-    // spec order — concurrently under a ParallelRunner, serially otherwise
-    // — and applies the root seed per the Runner seed contract.
-    std::vector<RunSpec> specs;
+    std::vector<SweepCell> cells;
     for (core::StrategyKind s : core::kAllStrategies) {
         for (double knob : knobs) {
-            RunSpec spec;
-            spec.scenario = workload::ScenarioKind::HighVariability;
-            spec.strategy = s;
-            spec.config = runner.baseConfig();
-            configure(spec.config, knob);
-            specs.push_back(std::move(spec));
+            SweepCell cell;
+            cell.scenario = workload::ScenarioKind::HighVariability;
+            cell.strategy = s;
+            cell.config = runner.baseConfig();
+            cell.label = workload::toString(cell.scenario);
+            configure(cell, knob);
+            cells.push_back(std::move(cell));
         }
     }
-    const std::vector<core::RunResult> results = runner.runBatch(specs);
+    const std::vector<core::RunResult> results = runner.sweep(cells);
     std::vector<std::vector<std::string>> perf_rows;
     std::vector<std::vector<std::string>> cost_rows;
     std::size_t idx = 0;
@@ -194,7 +206,7 @@ sensitivitySweep(Runner& runner, const char* knobHeader,
     }
     std::vector<std::string> header = {"strategy"};
     for (double knob : knobs)
-        header.push_back(knobHeader + fmt(knob, 0));
+        header.push_back(knobHeader + fmt(knob, 0) + knobSuffix);
     std::printf("p95-tail performance normalized to isolation (%%):\n");
     printTable(header, perf_rows);
     if (withCost) {
@@ -213,8 +225,8 @@ fig14SpinUpAndExternalLoad(Runner& runner)
     sensitivitySweep(
         runner, "t=",
         {0.0, 15.0, 30.0, 60.0, 120.0},
-        [](core::EngineConfig& cfg, double knob) {
-            cfg.spinUpFixed = knob;
+        [](SweepCell& cell, double knob) {
+            cell.config.spinUpFixed = knob;
         },
         /*withCost=*/false);
     printClaim("SR unaffected by spin-up; OdF/OdM degrade most",
@@ -225,8 +237,8 @@ fig14SpinUpAndExternalLoad(Runner& runner)
     sensitivitySweep(
         runner, "u%=",
         {0.0, 25.0, 50.0, 75.0, 100.0},
-        [](core::EngineConfig& cfg, double knob) {
-            cfg.externalLoad.meanUtilization = knob / 100.0;
+        [](SweepCell& cell, double knob) {
+            cell.config.externalLoad.meanUtilization = knob / 100.0;
         },
         /*withCost=*/false);
     printClaim("SR immune; OdM degrades most; HM degrades past ~50%",
@@ -241,8 +253,8 @@ fig15Retention(Runner& runner)
     sensitivitySweep(
         runner, "x",
         {0.0, 10.0, 50.0, 100.0, 250.0, 500.0},
-        [](core::EngineConfig& cfg, double knob) {
-            cfg.retentionMultiple = knob;
+        [](SweepCell& cell, double knob) {
+            cell.config.retentionMultiple = knob;
         },
         /*withCost=*/true);
     printClaim("zero retention hurts performance (spin-up churn)",
@@ -256,48 +268,20 @@ fig16SensitiveApps(Runner& runner)
 {
     printHeader("Figure 16: sensitivity to the fraction of "
                 "interference-sensitive applications (high variability)");
-    const cloud::AwsStylePricing pricing;
-    const double base = detail::staticSrCost(runner, pricing);
-    const std::vector<double> fractions = {0.0, 0.2, 0.4, 0.6, 0.8, 1.0};
     // Each point needs its own trace (the sensitive fraction is a
-    // scenario-generation knob), so the specs carry scenario overrides and
-    // every runBatch() task generates its private trace.
-    std::vector<RunSpec> specs;
-    for (core::StrategyKind s : core::kAllStrategies) {
-        for (double f : fractions) {
-            RunSpec spec;
-            spec.strategy = s;
-            spec.config = runner.baseConfig();
-            workload::ScenarioConfig scenario = runner.scenarioConfig(
-                workload::ScenarioKind::HighVariability);
-            scenario.sensitiveFraction = f;
-            spec.scenarioOverride = scenario;
-            spec.label = "fig16";
-            specs.push_back(std::move(spec));
-        }
-    }
-    const std::vector<core::RunResult> results = runner.runBatch(specs);
-    std::vector<std::vector<std::string>> perf_rows;
-    std::vector<std::vector<std::string>> cost_rows;
-    std::size_t idx = 0;
-    for (core::StrategyKind s : core::kAllStrategies) {
-        std::vector<std::string> perf_row = {toString(s)};
-        std::vector<std::string> cost_row = {toString(s)};
-        for (std::size_t k = 0; k < fractions.size(); ++k, ++idx) {
-            const core::RunResult& r = results[idx];
-            perf_row.push_back(fmt(100.0 * detail::tailPerf(r), 1));
-            cost_row.push_back(fmt(r.cost(pricing).total() / base, 2));
-        }
-        perf_rows.push_back(perf_row);
-        cost_rows.push_back(cost_row);
-    }
-    std::vector<std::string> header = {"strategy"};
-    for (double f : fractions)
-        header.push_back("f=" + fmt(100.0 * f, 0) + "%");
-    std::printf("p95-tail performance normalized to isolation (%%):\n");
-    printTable(header, perf_rows);
-    std::printf("cost (normalized to static SR):\n");
-    printTable(header, cost_rows);
+    // scenario-generation knob), so the cells carry scenario overrides;
+    // the five strategies of one fraction share its trace.
+    sensitivitySweep(
+        runner, "f=",
+        {0.0, 20.0, 40.0, 60.0, 80.0, 100.0},
+        [&runner](SweepCell& cell, double percent) {
+            workload::ScenarioConfig scenario =
+                runner.scenarioConfig(cell.scenario);
+            scenario.sensitiveFraction = percent / 100.0;
+            cell.scenarioOverride = scenario;
+            cell.label = "fig16";
+        },
+        /*withCost=*/true, "%");
     printClaim("hybrids hold up until ~80% sensitive apps",
                "queueing dominates beyond", "compare f=80/100 columns");
     printClaim("on-demand cost surges with sensitive fraction",
@@ -311,6 +295,7 @@ fig17PricingModels(Runner& runner)
     const cloud::AwsStylePricing aws;
     const cloud::AzureOnDemandPricing azure;
     const cloud::GceSustainedUsePricing gce;
+    runner.fill(detail::matrixCells());
     const double base = detail::staticSrCost(runner, aws);
     std::vector<std::vector<std::string>> rows;
     for (workload::ScenarioKind scenario : workload::kAllScenarios) {
@@ -341,13 +326,28 @@ fig17PricingModels(Runner& runner)
                fmt(100.0 * (1.0 - hm_gce / odf_gce), 1) + "% lower");
 }
 
+namespace {
+
+/** The profiled high-variability cell of every strategy (Figs 18-20). */
+std::vector<Runner::CellKey>
+highVariabilityCells()
+{
+    std::vector<Runner::CellKey> keys;
+    for (core::StrategyKind s : core::kAllStrategies)
+        keys.emplace_back(workload::ScenarioKind::HighVariability, s, true);
+    return keys;
+}
+
+} // namespace
+
 void
 fig18Allocation(Runner& runner)
 {
     printHeader("Figure 18: resource allocation over time, "
                 "high-variability scenario (cores)");
-    const workload::ArrivalTrace& trace =
-        runner.trace(workload::ScenarioKind::HighVariability);
+    const workload::ArrivalTrace trace = workload::generateScenario(
+        runner.scenarioConfig(workload::ScenarioKind::HighVariability));
+    runner.fill(highVariabilityCells());
     for (core::StrategyKind s : core::kAllStrategies) {
         const core::RunResult& r =
             runner.run(workload::ScenarioKind::HighVariability, s);
@@ -373,6 +373,7 @@ fig19And20Utilization(Runner& runner)
 {
     printHeader("Figures 19-20: per-instance utilization, "
                 "high-variability scenario");
+    runner.fill(highVariabilityCells());
     for (core::StrategyKind s : core::kAllStrategies) {
         const core::RunResult& r =
             runner.run(workload::ScenarioKind::HighVariability, s);

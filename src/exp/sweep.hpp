@@ -1,17 +1,19 @@
 /**
  * @file
- * SweepScheduler: multi-seed figure sweeps with per-worker engine reuse,
- * a shared scenario-trace cache and streaming CI aggregation.
+ * SweepScheduler: the one executor of batch runs. Multi-seed figure
+ * sweeps, the figure drivers' memoized matrix cells (exp::Runner) and
+ * their ad-hoc knob sweeps all run here, with per-worker engine reuse, a
+ * shared scenario-trace cache and streaming CI aggregation.
  *
  * A sweep expands a figure grid (cells: scenario x strategy x config) by
  * a seed list into cells x seeds independent runs, packs them through
  * runtime::ThreadPool with cost-aware chunking, and reduces each cell's
  * runs into mean / stddev / 95% confidence intervals the moment they
- * land — a full RunResult never outlives its own task, so a thousand-run
- * sweep holds kilobytes of aggregates, not gigabytes of results.
+ * land. A full RunResult outlives its own task only when the caller asks
+ * for it through a visitor, so a thousand-run sweep holds kilobytes of
+ * aggregates, not gigabytes of results.
  *
- * Three mechanisms carry the performance win over driving the same grid
- * through Runner::runBatch with per-spec scenario overrides:
+ * Three mechanisms keep per-run cost down:
  *
  *  1. Engine reuse: each pool worker rents a core::EngineRun from a
  *     shared pool and re-arms it via EngineRun::reset() between runs, so
@@ -21,13 +23,16 @@
  *     workload::digest(ScenarioConfig) — which covers every
  *     generation-relevant field *including the seed* — so the five
  *     strategies of one (scenario, seed) column generate the trace once
- *     and share it. runBatch with scenarioOverride regenerates it per
- *     spec.
+ *     and share it.
  *  3. Streaming Welford reduction: per-cell accumulators are folded in
  *     seed order behind a cursor, independent of completion order, which
  *     keeps the aggregates byte-identical at 1, 2 or N threads (the
  *     Welford recurrence is order-sensitive, so "fold in seed order" is
  *     the determinism contract, asserted in tests/test_exp_sweep.cpp).
+ *
+ * Each run's engine seed and scenario seed are the task's seed, so a run
+ * is a pure function of (cell, seed): which worker ran it, and after
+ * what, cannot perturb a draw.
  *
  * Seed derivation: seed i of a sweep is sim::Rng(baseSeed).child(i)'s
  * seed — deterministic in (baseSeed, i), independent of seed count, and
@@ -39,11 +44,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/metrics.hpp"
 #include "core/types.hpp"
 #include "workload/scenario.hpp"
 
@@ -154,10 +161,10 @@ struct SweepTelemetry
     double traceGenSecTotal = 0.0;
     /** Simulator events processed, summed over all runs. */
     std::uint64_t eventsProcessed = 0;
-    /** eventsProcessed / wallSec — the sweep-level throughput number
-     *  BENCH_sweep.json compares against the runBatch baseline. */
+    /** eventsProcessed / wallSec — the sweep-level throughput. */
     double eventsPerSec = 0.0;
-    /** Effective worker count. */
+    /** Effective worker count: options.threads (0 = auto), capped at
+     *  the number of runs. */
     std::size_t threads = 1;
     /** High-water mark of buffered (not yet folded) per-run metric
      *  records across the whole sweep — the "never holds thousands of
@@ -195,18 +202,47 @@ std::vector<std::uint64_t> deriveSeedList(std::uint64_t baseSeed,
 std::vector<std::pair<std::size_t, std::size_t>> costAwareChunks(
     const std::vector<double>& weights, std::size_t targetChunks);
 
+/** Help text of `hcloud_run_completed_total`, which runSweep bumps once
+ *  per run (exp::ScopedMetricsServer registers it up front). */
+inline constexpr const char* kRunCompletedHelp = "Engine runs completed";
+
 /**
- * Run @p cells x the derived seed list and reduce per cell.
+ * Receives the full RunResult of each run of a sweep with its cell index
+ * and seed index. Called once per run, never concurrently, after the run
+ * folded into its cell's aggregate. Calls follow completion order, so
+ * callers store each result by its indices.
+ */
+using SweepVisitor = std::function<void(
+    std::size_t cell, std::size_t seedIndex, core::RunResult&& result)>;
+
+/**
+ * Run @p cells x exactly @p seeds and reduce per cell.
  *
  * Execution: tasks are ordered cell-major (cell * seeds + seedIndex),
  * chunked by costAwareChunks over per-task cost weights, and executed on
  * a pool of options.threads workers. Each task rents an engine (reset or
  * fresh), resolves its trace through the shared cache, runs, extracts a
- * small metrics record and discards the RunResult. Records fold into the
- * per-cell accumulators in strict seed order regardless of completion
- * order, so the returned aggregates are byte-identical at any thread
- * count (sweepCellsJson() is the canonical comparison form).
+ * small metrics record and hands the RunResult to @p visit (or drops it
+ * when @p visit is empty). Records fold into the per-cell accumulators in
+ * strict seed order regardless of completion order, so the returned
+ * aggregates are byte-identical at any thread count (sweepCellsJson() is
+ * the canonical comparison form). options.seeds and options.baseSeed only
+ * label the result here; @p seeds is the seed list.
+ *
+ * A cell whose config carries a trace or timeline `sinkStem` streams each
+ * run to its own part file, "<stem>.<sweep>-<cell>-<seedIndex>.part",
+ * unique per (sweep call, cell, seed), so concurrent runs never share a
+ * file; RunResult::trace/timeline.sinkPath name it.
+ *
+ * Every run also bumps the process metrics hcloud_run_completed_total,
+ * hcloud_run_sim_events_total and hcloud_phase_seconds_total{phase}.
  */
+SweepResult runSweep(const std::vector<SweepCell>& cells,
+                     const std::vector<std::uint64_t>& seeds,
+                     const SweepOptions& options,
+                     const SweepVisitor& visit = {});
+
+/** Run @p cells x deriveSeedList(options.baseSeed, options.seeds). */
 SweepResult runSweep(const std::vector<SweepCell>& cells,
                      const SweepOptions& options);
 

@@ -72,8 +72,8 @@ class PhaseProfiler
  */
 struct RunTelemetry
 {
-    /** Scenario trace generation (shared traces: attributed to every
-     *  cell that consumed the trace). */
+    /** Scenario trace generation paid by this run (0 when it reused a
+     *  cached trace). */
     double traceGenSec = 0.0;
     /** Engine setup: provider, strategy, arrival scheduling. */
     double setupSec = 0.0;
@@ -89,7 +89,7 @@ struct RunTelemetry
     /** eventsProcessed / simLoopSec (0 when the loop was too fast to
      *  time). */
     double eventsPerSec = 0.0;
-    /** Worker count of the runner that produced this cell. */
+    /** Worker count of the sweep that produced this run. */
     std::size_t threads = 1;
 };
 

@@ -14,9 +14,9 @@
  *  - histograms are fixed-bucket (bounded memory for process lifetime)
  *    and mutex-sharded by thread so concurrent observers rarely contend;
  *  - metrics group into labeled families: one family name carries many
- *    series distinguished by label sets, which is how per-run registry
- *    snapshots fold into the process view without cardinality explosions
- *    (`hcloud_run_counter_total{metric="strategy_acquisitions"}`);
+ *    series distinguished by label sets, so one family covers a bounded
+ *    set of dimensions without cardinality explosions
+ *    (`hcloud_phase_seconds_total{phase="sim_loop"}`);
  *  - every name is sanitized through sanitizeMetricName() on lookup, so
  *    the exposition page is valid by construction.
  *

@@ -69,8 +69,9 @@ struct TimelineConfig
      *  path and `dropped` stays 0 (same exclusivity contract as
      *  TraceConfig::sinkPath). */
     std::string sinkPath;
-    /** Per-run sink derivation stem for exp::Runner sweeps (the runner
-     *  derives "<stem>.<tag>.part"; exp::writeTimelineJsonl merges). */
+    /** Per-run sink derivation stem for exp::runSweep (each run derives
+     *  "<stem>.<sweep>-<cell>-<seed>.part"; exp::writeTimelineJsonl
+     *  merges). */
     std::string sinkStem;
 
     /** Resolve mode (consulting the environment under Auto). */

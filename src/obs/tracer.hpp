@@ -61,13 +61,13 @@ struct TraceConfig
      * When non-empty, this run's events stream to a JSONL TraceSink at
      * exactly this path: the ring becomes a flush buffer and `dropped`
      * stays 0, so traces are bounded only by disk. One run must own the
-     * path exclusively — for runner-driven sweeps use sinkStem instead.
+     * path exclusively — for exp::runSweep runs use sinkStem instead.
      */
     std::string sinkPath;
     /**
-     * Per-run sink derivation stem for exp::Runner sweeps: each run the
-     * runner executes derives its own sinkPath ("<stem>.<tag>.part"),
-     * and exp::writeTraceJsonl merges the parts in deterministic result
+     * Per-run sink derivation stem for exp::runSweep: each run derives
+     * its own sinkPath ("<stem>.<sweep>-<cell>-<seed>.part"), and
+     * exp::writeTraceJsonl merges the parts in deterministic result
      * order. Ignored by the tracer itself when sinkPath is empty.
      */
     std::string sinkStem;

@@ -12,7 +12,7 @@
  * not the ring, is the session's source of truth).
  *
  * Determinism contract: a session created with the same strategy,
- * scenario config and engine seed as a batch run (exp::Runner::runWith),
+ * scenario config and engine seed as a batch run (exp::runSweep),
  * fed the jobs of the generated scenario trace in arrival order, emits a
  * decision log identical to the Decision events of the batch run's trace
  * — same times, jobs, reasons, values and details, bit for bit

@@ -3,14 +3,17 @@
  * SweepScheduler tests: Welford/merge math against direct computation,
  * seed-list derivation, cost-aware chunking, EngineRun::reset()
  * bit-identity with a fresh engine, thread-count and submission-order
- * independence of the streaming aggregates, trace-cache and
- * engine-reuse accounting, and process-metrics series reclaim.
+ * independence of the streaming aggregates and of the full results a
+ * visitor receives, literal seed lists, trace-cache and engine-reuse
+ * accounting, and the process metrics a sweep publishes.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -155,8 +158,11 @@ digest(const core::RunResult& r)
         static_cast<double>(r.jobCount),
         static_cast<double>(r.failedJobs),
         static_cast<double>(r.acquisitions),
+        static_cast<double>(r.immediateReleases),
         static_cast<double>(r.reschedules),
         static_cast<double>(r.queuedJobs),
+        static_cast<double>(r.outcomes.size()),
+        static_cast<double>(r.instanceTimelines.size()),
         cost.reserved,
         cost.onDemand,
         static_cast<double>(r.trace.recorded),
@@ -164,14 +170,42 @@ digest(const core::RunResult& r)
     };
     for (const sim::SampleSet* ss :
          {&r.batchTurnaroundMin, &r.batchPerfNorm, &r.lcLatencyUs,
-          &r.lcPerfNorm}) {
+          &r.lcPerfNorm, &r.perfReserved, &r.perfOnDemand,
+          &r.spinUpWaits, &r.queueWaits}) {
         d.push_back(static_cast<double>(ss->count()));
         if (!ss->empty()) {
             d.push_back(ss->mean());
+            d.push_back(ss->quantile(0.05));
+            d.push_back(ss->quantile(0.5));
             d.push_back(ss->quantile(0.95));
         }
     }
     return d;
+}
+
+/** Bit-identity of two results: labels, digest and per-job outcomes. */
+void
+expectIdentical(const core::RunResult& a, const core::RunResult& b,
+                const std::string& what)
+{
+    EXPECT_EQ(a.strategy, b.strategy) << what;
+    EXPECT_EQ(a.scenario, b.scenario) << what;
+    EXPECT_EQ(a.profiling, b.profiling) << what;
+    const std::vector<double> x = digest(a);
+    const std::vector<double> y = digest(b);
+    ASSERT_EQ(x.size(), y.size()) << what;
+    for (std::size_t i = 0; i < x.size(); ++i)
+        EXPECT_EQ(x[i], y[i]) << what << " digest[" << i << "]";
+    ASSERT_EQ(a.outcomes.size(), b.outcomes.size()) << what;
+    for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
+        const core::JobOutcome& p = a.outcomes[i];
+        const core::JobOutcome& q = b.outcomes[i];
+        EXPECT_EQ(p.id, q.id) << what;
+        EXPECT_EQ(p.perfNorm, q.perfNorm) << what << " job " << i;
+        EXPECT_EQ(p.turnaroundMin, q.turnaroundMin) << what;
+        EXPECT_EQ(p.latencyP99Us, q.latencyP99Us) << what;
+        EXPECT_EQ(p.waitSec, q.waitSec) << what;
+    }
 }
 
 core::EngineRun::StrategyFactory
@@ -208,12 +242,36 @@ TEST(EngineRunReset, ResetRunIsBitIdenticalToFreshEngine)
                           factoryFor(core::StrategyKind::OdF));
     const core::RunResult direct = fresh.runBatch(trace, "target");
 
-    const std::vector<double> a = digest(viaReset);
-    const std::vector<double> b = digest(direct);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        EXPECT_EQ(a[i], b[i]) << "digest[" << i << "]";
+    expectIdentical(viaReset, direct, "reset");
     ASSERT_EQ(viaReset.trace.events.size(), direct.trace.events.size());
+}
+
+TEST(EngineRunReset, ResetAcrossProfilingAndStrategiesMatchesFreshEngine)
+{
+    // One engine walks every strategy with profiling toggled on and off
+    // between runs (the order a sweep's pooled engine may see); each
+    // reset run must equal a from-scratch engine with the same arguments.
+    const cloud::ProviderProfile profile = cloud::ProviderProfile::gce();
+    const workload::ArrivalTrace trace = workload::generateScenario(
+        tinyScenario(workload::ScenarioKind::HighVariability, 5));
+    std::unique_ptr<core::EngineRun> reused;
+    for (core::StrategyKind strategy : core::kAllStrategies) {
+        for (bool profiling : {true, false}) {
+            core::EngineConfig cfg;
+            cfg.seed = 5;
+            cfg.useProfiling = profiling;
+            if (reused)
+                reused->reset(cfg, profile, factoryFor(strategy));
+            else
+                reused = std::make_unique<core::EngineRun>(
+                    cfg, profile, factoryFor(strategy));
+            const core::RunResult viaReset = reused->runBatch(trace, "s");
+            core::EngineRun fresh(cfg, profile, factoryFor(strategy));
+            expectIdentical(viaReset, fresh.runBatch(trace, "s"),
+                            std::string(core::toString(strategy)) +
+                                (profiling ? "/profiled" : "/default"));
+        }
+    }
 }
 
 TEST(EngineRunReset, BackToBackResetsStayIdentical)
@@ -230,12 +288,8 @@ TEST(EngineRunReset, BackToBackResetsStayIdentical)
         digest(engine.runBatch(trace, "s"));
     for (int round = 0; round < 3; ++round) {
         engine.reset(cfg, profile, factoryFor(core::StrategyKind::HF));
-        const std::vector<double> again =
-            digest(engine.runBatch(trace, "s"));
-        ASSERT_EQ(first.size(), again.size());
-        for (std::size_t i = 0; i < first.size(); ++i)
-            EXPECT_EQ(first[i], again[i])
-                << "round " << round << " digest[" << i << "]";
+        EXPECT_EQ(first, digest(engine.runBatch(trace, "s")))
+            << "round " << round;
     }
 }
 
@@ -418,6 +472,141 @@ TEST(SweepScheduler, TraceCacheSharesAcrossStrategiesOfOneScenario)
     EXPECT_LE(sweep.telemetry.maxBufferedRuns, 1u);
     EXPECT_GT(sweep.telemetry.eventsProcessed, 0u);
     EXPECT_GT(sweep.telemetry.eventsPerSec, 0.0);
+}
+
+/**
+ * The full 3 x 5 x 2 figure matrix at 10% load through one sweep per
+ * thread count, collecting every RunResult through the visitor.
+ */
+std::vector<core::RunResult>
+matrixThroughVisitor(std::size_t threads)
+{
+    std::vector<exp::SweepCell> cells;
+    for (workload::ScenarioKind scenario : workload::kAllScenarios) {
+        for (core::StrategyKind strategy : core::kAllStrategies) {
+            for (bool profiling : {true, false}) {
+                exp::SweepCell cell;
+                cell.scenario = scenario;
+                cell.strategy = strategy;
+                cell.config.useProfiling = profiling;
+                cell.label = workload::toString(scenario);
+                cells.push_back(std::move(cell));
+            }
+        }
+    }
+    exp::SweepOptions options;
+    options.title = "matrix";
+    options.loadScale = 0.1;
+    options.threads = threads;
+    std::vector<core::RunResult> results(cells.size());
+    std::vector<int> visits(cells.size(), 0);
+    const exp::SweepResult sweep = exp::runSweep(
+        cells, {42}, options,
+        [&](std::size_t cell, std::size_t seedIndex,
+            core::RunResult&& result) {
+            EXPECT_EQ(seedIndex, 0u);
+            ++visits[cell];
+            results[cell] = std::move(result);
+        });
+    EXPECT_EQ(sweep.telemetry.threads, threads);
+    for (std::size_t c = 0; c < cells.size(); ++c)
+        EXPECT_EQ(visits[c], 1) << "cell " << c;
+    return results;
+}
+
+TEST(SweepScheduler, FullMatrixVisitorBitIdenticalAcrossThreadCounts)
+{
+    const std::vector<core::RunResult> serial = matrixThroughVisitor(1);
+    const std::vector<core::RunResult> pooled = matrixThroughVisitor(4);
+    ASSERT_EQ(serial.size(), 30u);
+    ASSERT_EQ(pooled.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+        EXPECT_FALSE(serial[i].strategy.empty()) << "cell " << i;
+        expectIdentical(serial[i], pooled[i],
+                        serial[i].scenario + "/" + serial[i].strategy +
+                            (serial[i].profiling ? "/profiled"
+                                                 : "/default"));
+    }
+}
+
+TEST(SweepScheduler, LiteralSeedListMatchesFreshEngineRun)
+{
+    // A one-seed list runs that seed literally (no derivation): engine
+    // seed and scenario seed both equal it, as on a direct EngineRun.
+    const std::uint64_t seed = 987654321;
+    exp::SweepCell cell;
+    cell.scenario = workload::ScenarioKind::Static;
+    cell.strategy = core::StrategyKind::HF;
+    cell.config.seed = 1; // replaced by the task's seed
+    cell.scenarioOverride = tinyScenario(workload::ScenarioKind::Static, 0);
+    cell.label = "literal";
+
+    exp::SweepOptions options = tinyOptions(1);
+    core::RunResult viaSweep;
+    const exp::SweepResult sweep =
+        exp::runSweep({cell}, {seed}, options,
+                      [&](std::size_t, std::size_t, core::RunResult&& r) {
+                          viaSweep = std::move(r);
+                      });
+    EXPECT_EQ(sweep.seedList, std::vector<std::uint64_t>{seed});
+    EXPECT_EQ(sweep.seeds, 1u);
+
+    workload::ScenarioConfig scenario = *cell.scenarioOverride;
+    scenario.loadScale = options.loadScale;
+    scenario.seed = seed;
+    core::EngineConfig cfg = cell.config;
+    cfg.seed = seed;
+    core::EngineRun fresh(cfg, cloud::ProviderProfile::gce(),
+                          factoryFor(cell.strategy));
+    expectIdentical(viaSweep,
+                    fresh.runBatch(workload::generateScenario(scenario),
+                                   "literal"),
+                    "literal seed");
+}
+
+TEST(SweepScheduler, EveryRunPublishesProcessMetrics)
+{
+    obs::ProcessMetrics& pm = obs::ProcessMetrics::instance();
+    obs::ProcessCounter& completed = pm.counter(
+        "hcloud_run_completed_total", exp::kRunCompletedHelp);
+    obs::ProcessCounter& events =
+        pm.counter("hcloud_run_sim_events_total", "");
+    obs::ProcessCounter& loop = pm.counter(
+        "hcloud_phase_seconds_total", "", {{"phase", "sim_loop"}});
+    const double completedBefore = completed.value();
+    const double eventsBefore = events.value();
+    const double loopBefore = loop.value();
+    const exp::SweepResult sweep = exp::runSweep(tinyGrid(), tinyOptions(2));
+    EXPECT_EQ(completed.value() - completedBefore,
+              static_cast<double>(sweep.telemetry.runs));
+    EXPECT_EQ(events.value() - eventsBefore,
+              static_cast<double>(sweep.telemetry.eventsProcessed));
+    EXPECT_GT(loop.value(), loopBefore);
+}
+
+TEST(SweepScheduler, SinkStemsGiveEveryRunItsOwnPartFile)
+{
+    exp::SweepCell cell;
+    cell.scenario = workload::ScenarioKind::Static;
+    cell.strategy = core::StrategyKind::SR;
+    cell.scenarioOverride = tinyScenario(workload::ScenarioKind::Static, 0);
+    cell.config.trace.mode = obs::TraceConfig::Mode::On;
+    cell.config.trace.sinkStem = ::testing::TempDir() + "sweep_sink.jsonl";
+    std::set<std::string> paths;
+    for (int call = 0; call < 2; ++call) {
+        exp::runSweep({cell, cell}, {1, 2}, tinyOptions(2),
+                      [&](std::size_t, std::size_t, core::RunResult&& r) {
+                          EXPECT_TRUE(r.trace.sinkOk);
+                          EXPECT_EQ(r.trace.sinkPath.rfind(
+                                        cell.config.trace.sinkStem + ".",
+                                        0),
+                                    0u)
+                              << r.trace.sinkPath;
+                          paths.insert(r.trace.sinkPath);
+                          std::remove(r.trace.sinkPath.c_str());
+                      });
+    }
+    EXPECT_EQ(paths.size(), 8u) << "one part file per (sweep, cell, seed)";
 }
 
 TEST(SweepScheduler, ProgressGaugeSeriesIsReclaimed)

@@ -28,9 +28,42 @@ class IntegrationTest : public ::testing::Test
     static exp::Runner&
     runner()
     {
-        static exp::Runner instance{
-            exp::ExperimentOptions{/*loadScale=*/0.30, /*seed=*/42}};
+        static exp::Runner instance = [] {
+            exp::Runner r{
+                exp::ExperimentOptions{/*loadScale=*/0.30, /*seed=*/42}};
+            // Every profiled cell plus the unprofiled static row, in one
+            // sweep.
+            std::vector<exp::Runner::CellKey> cells;
+            for (workload::ScenarioKind scenario : workload::kAllScenarios)
+                for (core::StrategyKind s : core::kAllStrategies)
+                    cells.emplace_back(scenario, s, true);
+            for (core::StrategyKind s : core::kAllStrategies)
+                cells.emplace_back(workload::ScenarioKind::Static, s, false);
+            r.fill(cells);
+            return r;
+        }();
         return instance;
+    }
+
+    /** Mean normalized perf of each (strategy, config) cell on the
+     *  high-variability scenario, run in one sweep. */
+    static std::vector<double>
+    highVariabilityPerf(
+        const std::vector<std::pair<core::StrategyKind, core::EngineConfig>>&
+            runs)
+    {
+        std::vector<exp::SweepCell> cells;
+        for (const auto& [strategy, config] : runs) {
+            exp::SweepCell cell;
+            cell.scenario = workload::ScenarioKind::HighVariability;
+            cell.strategy = strategy;
+            cell.config = config;
+            cells.push_back(std::move(cell));
+        }
+        std::vector<double> perf;
+        for (const core::RunResult& r : runner().sweep(cells))
+            perf.push_back(r.meanPerfNorm());
+        return perf;
     }
 
     static const core::RunResult&
@@ -201,21 +234,13 @@ TEST_F(IntegrationTest, SpinUpSensitivityDirection)
     fast.spinUpFixed = 0.0;
     core::EngineConfig slow = runner().baseConfig();
     slow.spinUpFixed = 120.0;
-    const auto scenario = workload::ScenarioKind::HighVariability;
-    const double odf_fast =
-        runner().runWith(scenario, core::StrategyKind::OdF, fast)
-            .meanPerfNorm();
-    const double odf_slow =
-        runner().runWith(scenario, core::StrategyKind::OdF, slow)
-            .meanPerfNorm();
-    EXPECT_GT(odf_fast, odf_slow + 0.01);
-    const double sr_fast =
-        runner().runWith(scenario, core::StrategyKind::SR, fast)
-            .meanPerfNorm();
-    const double sr_slow =
-        runner().runWith(scenario, core::StrategyKind::SR, slow)
-            .meanPerfNorm();
-    EXPECT_NEAR(sr_fast, sr_slow, 0.03) << "SR has no spin-ups";
+    const std::vector<double> perf = highVariabilityPerf(
+        {{core::StrategyKind::OdF, fast},
+         {core::StrategyKind::OdF, slow},
+         {core::StrategyKind::SR, fast},
+         {core::StrategyKind::SR, slow}});
+    EXPECT_GT(perf[0], perf[1] + 0.01);
+    EXPECT_NEAR(perf[2], perf[3], 0.03) << "SR has no spin-ups";
 }
 
 TEST_F(IntegrationTest, ExternalLoadSensitivityDirection)
@@ -226,21 +251,13 @@ TEST_F(IntegrationTest, ExternalLoadSensitivityDirection)
     calm.externalLoad.band = 0.0;
     core::EngineConfig stormy = runner().baseConfig();
     stormy.externalLoad.meanUtilization = 0.75;
-    const auto scenario = workload::ScenarioKind::HighVariability;
-    const double odm_calm =
-        runner().runWith(scenario, core::StrategyKind::OdM, calm)
-            .meanPerfNorm();
-    const double odm_stormy =
-        runner().runWith(scenario, core::StrategyKind::OdM, stormy)
-            .meanPerfNorm();
-    EXPECT_GT(odm_calm, odm_stormy + 0.10);
-    const double sr_calm =
-        runner().runWith(scenario, core::StrategyKind::SR, calm)
-            .meanPerfNorm();
-    const double sr_stormy =
-        runner().runWith(scenario, core::StrategyKind::SR, stormy)
-            .meanPerfNorm();
-    EXPECT_NEAR(sr_calm, sr_stormy, 0.05) << "SR is fully isolated";
+    const std::vector<double> perf = highVariabilityPerf(
+        {{core::StrategyKind::OdM, calm},
+         {core::StrategyKind::OdM, stormy},
+         {core::StrategyKind::SR, calm},
+         {core::StrategyKind::SR, stormy}});
+    EXPECT_GT(perf[0], perf[1] + 0.10);
+    EXPECT_NEAR(perf[2], perf[3], 0.05) << "SR is fully isolated";
 }
 
 TEST_F(IntegrationTest, MappingPolicyEndToEnd)
@@ -249,10 +266,12 @@ TEST_F(IntegrationTest, MappingPolicyEndToEnd)
     // on-demand-side performance.
     core::EngineConfig random = runner().baseConfig();
     random.mappingPolicy = core::PolicyKind::P1Random;
-    const auto scenario = workload::ScenarioKind::HighVariability;
-    const core::RunResult p1 =
-        runner().runWith(scenario, core::StrategyKind::HM, random);
-    const core::RunResult& p8 = get(scenario, core::StrategyKind::HM);
+    exp::SweepCell cell;
+    cell.scenario = workload::ScenarioKind::HighVariability;
+    cell.strategy = core::StrategyKind::HM;
+    cell.config = random;
+    const core::RunResult p1 = runner().sweep({cell})[0];
+    const core::RunResult& p8 = get(cell.scenario, core::StrategyKind::HM);
     EXPECT_GT(p8.meanPerfNorm() + 0.03, p1.meanPerfNorm());
     // The random policy queues far more work on the reserved side.
     EXPECT_GE(p1.queuedJobs + 5, p8.queuedJobs);

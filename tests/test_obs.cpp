@@ -28,7 +28,6 @@
 #include "obs/phase_profiler.hpp"
 #include "obs/trace_sink.hpp"
 #include "obs/tracer.hpp"
-#include "runtime/parallel_runner.hpp"
 #include "workload/scenario.hpp"
 
 namespace hcloud {
@@ -621,42 +620,40 @@ serializeTrace(const obs::TraceBuffer& buffer)
     return out.str();
 }
 
+/** The three cells the determinism checks run, filled in one sweep. */
+const std::vector<exp::Runner::CellKey> kDeterminismCells = {
+    {workload::ScenarioKind::Static, core::StrategyKind::SR, true},
+    {workload::ScenarioKind::HighVariability, core::StrategyKind::HM, true},
+    {workload::ScenarioKind::HighVariability, core::StrategyKind::HF, true},
+};
+
 TEST(ObsDeterminism, TraceJsonlByteIdenticalAcrossThreadCounts)
 {
     exp::ExperimentOptions serial_opt;
     serial_opt.loadScale = 0.1;
     serial_opt.seed = 42;
+    serial_opt.threads = 1;
     exp::ExperimentOptions parallel_opt = serial_opt;
     parallel_opt.threads = 4;
     core::EngineConfig base;
     base.trace.mode = obs::TraceConfig::Mode::On;
 
     exp::Runner serial{serial_opt, base};
-    runtime::ParallelRunner parallel{parallel_opt, base};
-
-    const struct
-    {
-        workload::ScenarioKind scenario;
-        core::StrategyKind strategy;
-    } cells[] = {
-        {workload::ScenarioKind::Static, core::StrategyKind::SR},
-        {workload::ScenarioKind::HighVariability, core::StrategyKind::HM},
-        {workload::ScenarioKind::HighVariability, core::StrategyKind::HF},
-    };
-    for (const auto& cell : cells) {
-        const core::RunResult& a = serial.run(cell.scenario, cell.strategy);
-        const core::RunResult& b =
-            parallel.run(cell.scenario, cell.strategy);
+    exp::Runner parallel{parallel_opt, base};
+    serial.fill(kDeterminismCells);
+    parallel.fill(kDeterminismCells);
+    for (const exp::Runner::CellKey& key : kDeterminismCells) {
+        const core::RunResult& a = serial.results().at(key);
+        const core::RunResult& b = parallel.results().at(key);
         ASSERT_GT(a.trace.recorded, 0u);
         EXPECT_EQ(serializeTrace(a.trace), serializeTrace(b.trace))
-            << workload::toString(cell.scenario) << "/"
-            << core::toString(cell.strategy);
+            << a.scenario << "/" << a.strategy;
     }
 }
 
 /**
- * Run the three determinism cells through a sink-backed ParallelRunner
- * at @p threads workers, merge the part files, and return the merged
+ * Run the three determinism cells through a sink-backed Runner at
+ * @p threads workers, merge the part files, and return the merged
  * bytes. Asserts the tentpole sink contract on every cell: dropped == 0
  * and a complete on-disk stream even though the ring (256) is far below
  * the event count.
@@ -675,20 +672,11 @@ mergedSinkTrace(std::size_t threads, std::uint64_t* recordedSum)
         std::to_string(threads) + ".jsonl";
     base.trace.sinkStem = stem;
 
-    runtime::ParallelRunner runner{opt, base};
+    exp::Runner runner{opt, base};
+    runner.fill(kDeterminismCells);
     *recordedSum = 0;
-    const struct
-    {
-        workload::ScenarioKind scenario;
-        core::StrategyKind strategy;
-    } cells[] = {
-        {workload::ScenarioKind::Static, core::StrategyKind::SR},
-        {workload::ScenarioKind::HighVariability, core::StrategyKind::HM},
-        {workload::ScenarioKind::HighVariability, core::StrategyKind::HF},
-    };
-    for (const auto& cell : cells) {
-        const core::RunResult& r =
-            runner.run(cell.scenario, cell.strategy);
+    for (const exp::Runner::CellKey& key : kDeterminismCells) {
+        const core::RunResult& r = runner.results().at(key);
         EXPECT_TRUE(r.trace.sinkOk);
         EXPECT_FALSE(r.trace.sinkPath.empty());
         EXPECT_EQ(r.trace.dropped, 0u)
@@ -811,10 +799,13 @@ TEST(ObsReports, AdhocRecordingCapturesUncachedRuns)
     opt.seed = 42;
     exp::Runner runner{opt};
     runner.setRecordAdhoc(true);
-    core::EngineConfig cfg = runner.baseConfig();
-    cfg.retentionMultiple = 10.0;
-    runner.runWith(workload::ScenarioKind::Static, core::StrategyKind::HM,
-                   cfg, "static/retention-10x");
+    exp::SweepCell cell;
+    cell.scenario = workload::ScenarioKind::Static;
+    cell.strategy = core::StrategyKind::HM;
+    cell.config = runner.baseConfig();
+    cell.config.retentionMultiple = 10.0;
+    cell.label = "static/retention-10x";
+    runner.sweep({cell});
     ASSERT_EQ(runner.adhocResults().size(), 1u);
     EXPECT_EQ(runner.adhocResults()[0].scenario, "static/retention-10x");
     EXPECT_EQ(runner.adhocResults()[0].telemetry.threads, 1u);

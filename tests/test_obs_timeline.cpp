@@ -22,7 +22,6 @@
 #include "obs/json.hpp"
 #include "obs/timeline.hpp"
 #include "obs/tracer.hpp"
-#include "runtime/parallel_runner.hpp"
 #include "workload/scenario.hpp"
 
 namespace hcloud {
@@ -296,31 +295,29 @@ TEST(TimelineDeterminism, RingTimelineByteIdenticalAcrossThreadCounts)
     exp::ExperimentOptions serial_opt;
     serial_opt.loadScale = 0.1;
     serial_opt.seed = 42;
+    serial_opt.threads = 1;
     exp::ExperimentOptions parallel_opt = serial_opt;
     parallel_opt.threads = 4;
     core::EngineConfig base;
     base.timeline.mode = obs::TimelineConfig::Mode::On;
     base.timeline.cadence = 60.0;
 
-    exp::Runner serial{serial_opt, base};
-    runtime::ParallelRunner parallel{parallel_opt, base};
-    const struct
-    {
-        workload::ScenarioKind scenario;
-        core::StrategyKind strategy;
-    } cells[] = {
-        {workload::ScenarioKind::Static, core::StrategyKind::SR},
-        {workload::ScenarioKind::HighVariability, core::StrategyKind::HM},
+    const std::vector<exp::Runner::CellKey> cells = {
+        {workload::ScenarioKind::Static, core::StrategyKind::SR, true},
+        {workload::ScenarioKind::HighVariability, core::StrategyKind::HM,
+         true},
     };
-    for (const auto& cell : cells) {
-        const core::RunResult& a = serial.run(cell.scenario, cell.strategy);
-        const core::RunResult& b =
-            parallel.run(cell.scenario, cell.strategy);
+    exp::Runner serial{serial_opt, base};
+    exp::Runner parallel{parallel_opt, base};
+    serial.fill(cells);
+    parallel.fill(cells);
+    for (const exp::Runner::CellKey& key : cells) {
+        const core::RunResult& a = serial.results().at(key);
+        const core::RunResult& b = parallel.results().at(key);
         ASSERT_GT(a.timeline.recorded, 0u);
         EXPECT_EQ(serializeTimeline(a.timeline),
                   serializeTimeline(b.timeline))
-            << workload::toString(cell.scenario) << "/"
-            << core::toString(cell.strategy);
+            << a.scenario << "/" << a.strategy;
     }
 }
 
@@ -343,20 +340,18 @@ mergedSinkTimeline(std::size_t threads, std::uint64_t* recordedSum)
         std::to_string(threads) + ".jsonl";
     base.timeline.sinkStem = stem;
 
-    runtime::ParallelRunner runner{opt, base};
-    *recordedSum = 0;
-    const struct
-    {
-        workload::ScenarioKind scenario;
-        core::StrategyKind strategy;
-    } cells[] = {
-        {workload::ScenarioKind::Static, core::StrategyKind::SR},
-        {workload::ScenarioKind::HighVariability, core::StrategyKind::HM},
-        {workload::ScenarioKind::HighVariability, core::StrategyKind::HF},
+    const std::vector<exp::Runner::CellKey> cells = {
+        {workload::ScenarioKind::Static, core::StrategyKind::SR, true},
+        {workload::ScenarioKind::HighVariability, core::StrategyKind::HM,
+         true},
+        {workload::ScenarioKind::HighVariability, core::StrategyKind::HF,
+         true},
     };
-    for (const auto& cell : cells) {
-        const core::RunResult& r =
-            runner.run(cell.scenario, cell.strategy);
+    exp::Runner runner{opt, base};
+    runner.fill(cells);
+    *recordedSum = 0;
+    for (const exp::Runner::CellKey& key : cells) {
+        const core::RunResult& r = runner.results().at(key);
         EXPECT_TRUE(r.timeline.sinkOk);
         EXPECT_FALSE(r.timeline.sinkPath.empty());
         EXPECT_EQ(r.timeline.dropped, 0u)

@@ -3,7 +3,7 @@
  * The serving layer's determinism contract, proven over real HTTP:
  * a tenant session fed the jobs of a generated scenario trace one
  * request at a time emits a decision stream bit-identical to the same
- * configuration executed through exp::Runner's batch path — same
+ * configuration executed as a batch run through exp::Runner — same
  * times, jobs, reason codes, values and details. Also the concurrency
  * hammer: four tenants driven from four client threads (run under
  * TSan in CI) must never crash, race, or drop a submission.
@@ -118,27 +118,27 @@ expectHttpMatchesBatch(bool useProfiling, double duration)
         runner.scenarioConfig(workload::ScenarioKind::Static);
     scenario.duration = duration;
 
-    exp::RunSpec spec;
-    spec.scenario = workload::ScenarioKind::Static;
-    spec.strategy = core::StrategyKind::HM;
-    spec.config.useProfiling = useProfiling;
+    exp::SweepCell cell;
+    cell.scenario = workload::ScenarioKind::Static;
+    cell.strategy = core::StrategyKind::HM;
+    cell.config.useProfiling = useProfiling;
     // Bound the post-scenario tick tail (the default horizon is 12 h of
     // idle housekeeping) so the test runs in seconds, identically on
     // both sides of the comparison.
-    spec.config.maxRuntime = duration + 2.0 * 3600.0;
-    spec.config.trace.mode = obs::TraceConfig::Mode::On;
-    spec.config.trace.ringCapacity = 1u << 18; // never ring-truncate
-    spec.scenarioOverride = scenario;
-    const std::vector<core::RunResult> results = runner.runBatch({spec});
+    cell.config.maxRuntime = duration + 2.0 * 3600.0;
+    cell.config.trace.mode = obs::TraceConfig::Mode::On;
+    cell.config.trace.ringCapacity = 1u << 18; // never ring-truncate
+    cell.scenarioOverride = scenario;
+    const std::vector<core::RunResult> results = runner.sweep({cell});
     ASSERT_EQ(results.size(), 1u);
     const std::vector<BatchDecision> expected =
         batchDecisions(results[0]);
     ASSERT_FALSE(expected.empty())
         << "batch run produced no job decisions; scenario too small";
 
-    // What runBatch actually ran: the spec's config with its seed
+    // What the sweep actually ran: the cell's config with its seed
     // replaced by options().seed (the Runner seed contract).
-    core::EngineConfig engine = spec.config;
+    core::EngineConfig engine = cell.config;
     engine.seed = options.seed;
 
     obs::ProcessMetrics metrics;
@@ -245,15 +245,15 @@ TEST(ServeDeterminism, HttpTimelineJsonlMatchesBatchRunner)
         runner.scenarioConfig(workload::ScenarioKind::Static);
     scenario.duration = 1800.0;
 
-    exp::RunSpec spec;
-    spec.scenario = workload::ScenarioKind::Static;
-    spec.strategy = core::StrategyKind::HM;
-    spec.config.useProfiling = false;
-    spec.config.maxRuntime = scenario.duration + 2.0 * 3600.0;
-    spec.config.timeline.mode = obs::TimelineConfig::Mode::On;
-    spec.config.timeline.cadence = 30.0;
-    spec.scenarioOverride = scenario;
-    const std::vector<core::RunResult> results = runner.runBatch({spec});
+    exp::SweepCell cell;
+    cell.scenario = workload::ScenarioKind::Static;
+    cell.strategy = core::StrategyKind::HM;
+    cell.config.useProfiling = false;
+    cell.config.maxRuntime = scenario.duration + 2.0 * 3600.0;
+    cell.config.timeline.mode = obs::TimelineConfig::Mode::On;
+    cell.config.timeline.cadence = 30.0;
+    cell.scenarioOverride = scenario;
+    const std::vector<core::RunResult> results = runner.sweep({cell});
     ASSERT_EQ(results.size(), 1u);
     const obs::TimelineBuffer& batch = results[0].timeline;
     ASSERT_GT(batch.recorded, 0u);
@@ -264,7 +264,7 @@ TEST(ServeDeterminism, HttpTimelineJsonlMatchesBatchRunner)
     for (const obs::TimelineSample& s : batch.samples)
         batchLines.push_back(obs::toJson(s));
 
-    core::EngineConfig engine = spec.config;
+    core::EngineConfig engine = cell.config;
     engine.seed = options.seed;
 
     obs::ProcessMetrics metrics;
