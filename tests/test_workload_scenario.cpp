@@ -118,6 +118,15 @@ struct Table2Row
     double jobRatioTolerance;
 };
 
+// Names each case by its scenario. Without this gtest prints the raw bytes
+// of the row, padding included, so the test names would vary from run to
+// run.
+void
+PrintTo(const Table2Row& row, std::ostream* os)
+{
+    *os << toString(row.kind);
+}
+
 class Table2Fidelity : public ::testing::TestWithParam<Table2Row>
 {
 };
