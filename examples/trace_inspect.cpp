@@ -900,7 +900,9 @@ main(int argc, char** argv)
         }
         if (timelinePath.empty()) {
             // Fall back to the HCLOUD_TIMELINE-named default.
-            timelinePath = hcloud::obs::envTimelinePath();
+            timelinePath =
+                hcloud::obs::envSwitch(hcloud::obs::TimelineConfig::kEnv)
+                    .path;
         }
         if (timelinePath.empty()) {
             std::fprintf(stderr,
@@ -965,7 +967,7 @@ main(int argc, char** argv)
     }
     if (path.empty()) {
         // Fall back to the HCLOUD_TRACE-named default, matching benches.
-        path = hcloud::obs::envTracePath();
+        path = hcloud::obs::envSwitch(hcloud::obs::TraceConfig::kEnv).path;
         if (path.empty()) {
             std::fprintf(stderr,
                          "usage: %s <trace.jsonl> [--jobs N] "

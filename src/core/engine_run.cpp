@@ -564,6 +564,7 @@ EngineRun::buildResult(RunResult& result, const std::string& scenarioName)
     result.strategy = strategy_->name();
     result.scenario = scenarioName;
     result.profiling = config_.useProfiling;
+    result.timelineCadence = config_.timeline.cadence;
     sim::Time makespan = 0.0;
     for (const auto& job : jobs_)
         makespan = std::max(makespan, job->completedAt);

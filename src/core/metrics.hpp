@@ -211,6 +211,9 @@ struct RunResult
     /** Cluster-state samples recorded by the run's obs::Timeline
      *  (empty when timeline sampling is disabled). */
     obs::TimelineBuffer timeline;
+    /** The timeline cadence the run was configured with (virtual
+     *  seconds). */
+    sim::Duration timelineCadence = 0.0;
     /** Snapshot of every registered metric, sorted by name. */
     obs::MetricsSnapshot metricsSnapshot;
     /** Wall-clock phase profile (excluded from determinism digests). */

@@ -68,67 +68,62 @@ parseU64(const char* arg, std::uint64_t& out)
     return true;
 }
 
+/**
+ * Effective output path of one recorder: the flag's @p path, else the
+ * one its environment switch @p env names; empty when the recorder is
+ * off or writes no file.
+ */
+std::string
+recorderPath(bool requested, const std::string& path, const char* env)
+{
+    const obs::EnvSwitch sw = obs::envSwitch(env);
+    if (!requested && !sw.enabled)
+        return "";
+    return path.empty() ? sw.path : path;
+}
+
+/**
+ * Wire one recorder's CLI surface into @p cfg: the flag forces it on, an
+ * output path becomes the per-run sink stem (so the file is complete
+ * even when a run outgrows the ring), and "<env>_RING" overrides the
+ * ring size. The environment is read here at the CLI edge only, so the
+ * library stays env-independent.
+ */
+void
+wireRecorder(obs::RecorderConfig& cfg, bool requested,
+             const std::string& path, const char* env)
+{
+    if (requested)
+        cfg.mode = obs::RecorderConfig::Mode::On;
+    cfg.sinkStem = recorderPath(requested, path, env);
+    const std::string ringEnv = std::string(env) + "_RING";
+    if (const char* ring = std::getenv(ringEnv.c_str())) {
+        std::uint64_t capacity = 0;
+        if (parseU64(ring, capacity) && capacity > 0)
+            cfg.ringCapacity = static_cast<std::size_t>(capacity);
+    }
+}
+
 } // namespace
 
 core::EngineConfig
 BenchCli::engineConfig() const
 {
     core::EngineConfig cfg;
-    if (traceRequested)
-        cfg.trace.mode = obs::TraceConfig::Mode::On;
-    // When tracing will produce a file, stream each run through a TraceSink
-    // part file derived from this stem so the on-disk trace is complete
-    // even when a run records more events than the ring holds.
-    const bool tracing = traceRequested || obs::envTraceEnabled();
-    const std::string trace_path = effectiveTracePath();
-    if (tracing && !trace_path.empty())
-        cfg.trace.sinkStem = trace_path;
-    // CI knob: shrink (or grow) the ring without recompiling. Consumed
-    // here at the CLI edge only, so the library stays env-independent.
-    if (const char* ring = std::getenv("HCLOUD_TRACE_RING")) {
-        std::uint64_t capacity = 0;
-        if (parseU64(ring, capacity) && capacity > 0)
-            cfg.trace.ringCapacity = static_cast<std::size_t>(capacity);
-    }
-    // Timeline sampling mirrors the trace wiring: the flag forces it on,
-    // a named path becomes the per-run sink stem, and the cadence/ring
-    // env knobs are consumed here at the CLI edge only.
-    if (timelineRequested)
-        cfg.timeline.mode = obs::TimelineConfig::Mode::On;
-    const bool sampling = timelineRequested || obs::envTimelineEnabled();
-    const std::string timeline_path = effectiveTimelinePath();
-    if (sampling && !timeline_path.empty())
-        cfg.timeline.sinkStem = timeline_path;
+    wireRecorder(cfg.trace, traceRequested, tracePath,
+                 obs::TraceConfig::kEnv);
+    wireRecorder(cfg.timeline, timelineRequested, timelinePath,
+                 obs::TimelineConfig::kEnv);
     cfg.timeline.cadence = obs::envTimelineCadence(cfg.timeline.cadence);
-    if (const char* ring = std::getenv("HCLOUD_TIMELINE_RING")) {
-        std::uint64_t capacity = 0;
-        if (parseU64(ring, capacity) && capacity > 0)
-            cfg.timeline.ringCapacity = static_cast<std::size_t>(capacity);
-    }
     return cfg;
 }
 
 bool
 BenchCli::wantsArtifacts() const
 {
-    return !jsonPath.empty() || traceRequested || obs::envTraceEnabled() ||
-        timelineRequested || obs::envTimelineEnabled();
-}
-
-std::string
-BenchCli::effectiveTracePath() const
-{
-    if (!tracePath.empty())
-        return tracePath;
-    return obs::envTracePath();
-}
-
-std::string
-BenchCli::effectiveTimelinePath() const
-{
-    if (!timelinePath.empty())
-        return timelinePath;
-    return obs::envTimelinePath();
+    return !jsonPath.empty() || traceRequested || timelineRequested ||
+        obs::envSwitch(obs::TraceConfig::kEnv).enabled ||
+        obs::envSwitch(obs::TimelineConfig::kEnv).enabled;
 }
 
 std::optional<std::uint16_t>
@@ -259,28 +254,30 @@ writeBenchArtifacts(const BenchCli& cli, const std::string& title,
             ok = false;
         }
     }
-    const std::string trace_path = cli.effectiveTracePath();
-    const bool tracing = cli.traceRequested || obs::envTraceEnabled();
-    if (tracing && !trace_path.empty()) {
-        if (writeTraceJsonl(trace_path, runner, /*removeParts=*/true)) {
-            std::printf("wrote trace JSONL: %s\n", trace_path.c_str());
+    const struct
+    {
+        const char* what;
+        std::string path;
+        bool (*write)(const std::string&, const Runner&, bool);
+    } streams[] = {
+        {"trace",
+         recorderPath(cli.traceRequested, cli.tracePath,
+                      obs::TraceConfig::kEnv),
+         writeTraceJsonl},
+        {"timeline",
+         recorderPath(cli.timelineRequested, cli.timelinePath,
+                      obs::TimelineConfig::kEnv),
+         writeTimelineJsonl},
+    };
+    for (const auto& stream : streams) {
+        if (stream.path.empty())
+            continue;
+        if (stream.write(stream.path, runner, /*removeParts=*/true)) {
+            std::printf("wrote %s JSONL: %s\n", stream.what,
+                        stream.path.c_str());
         } else {
-            std::fprintf(stderr, "failed to write trace JSONL: %s\n",
-                         trace_path.c_str());
-            ok = false;
-        }
-    }
-    const std::string timeline_path = cli.effectiveTimelinePath();
-    const bool sampling =
-        cli.timelineRequested || obs::envTimelineEnabled();
-    if (sampling && !timeline_path.empty()) {
-        if (writeTimelineJsonl(timeline_path, runner,
-                               /*removeParts=*/true)) {
-            std::printf("wrote timeline JSONL: %s\n",
-                        timeline_path.c_str());
-        } else {
-            std::fprintf(stderr, "failed to write timeline JSONL: %s\n",
-                         timeline_path.c_str());
+            std::fprintf(stderr, "failed to write %s JSONL: %s\n",
+                         stream.what, stream.path.c_str());
             ok = false;
         }
     }
@@ -316,16 +313,32 @@ benchMain(int argc, char** argv, const std::string& title,
     return writeBenchArtifacts(cli, title, runner, sweeps) ? 0 : 1;
 }
 
-ScopedMetricsServer::ScopedMetricsServer(const BenchCli& cli)
+ScopedMetricsServer::ScopedMetricsServer(
+    std::optional<std::uint16_t> port, obs::ProcessMetrics& metrics)
+    : server_([] {
+          // Scrapes are rare (seconds apart) and tiny: one worker is
+          // plenty, and closing after every response keeps read-to-EOF
+          // scrape clients working.
+          srv::HttpServerConfig config;
+          config.workers = 1;
+          config.keepAlive = false;
+          config.maxRequestBytes = 8u * 1024;
+          config.idleTimeoutMs = 2000;
+          return config;
+      }())
 {
-    const std::optional<std::uint16_t> port = cli.effectiveMetricsPort();
+    server_.route("GET", "/metrics", [&metrics](const srv::HttpRequest&) {
+        return srv::metricsResponse(metrics);
+    });
+    server_.route("GET", "/healthz", [](const srv::HttpRequest&) {
+        return srv::HttpResponse::text(200, "ok\n");
+    });
     if (!port)
         return;
     // Scrapers poll this counter for progress; registering it up front
     // makes the very first scrape see it at 0 instead of a missing
     // series (publication only starts when the first run finishes).
-    obs::ProcessMetrics::instance().counter("hcloud_run_completed_total",
-                                            kRunCompletedHelp);
+    metrics.counter("hcloud_run_completed_total", kRunCompletedHelp);
     std::string error;
     if (!server_.start(*port, &error)) {
         std::fprintf(stderr, "metrics server failed to start: %s\n",
@@ -338,11 +351,6 @@ ScopedMetricsServer::ScopedMetricsServer(const BenchCli& cli)
     // The port line is how scripts discover an ephemeral port; flush past
     // stdio's block buffering so a pipe reader sees it before the sweep.
     std::fflush(stdout);
-}
-
-ScopedMetricsServer::~ScopedMetricsServer()
-{
-    server_.stop();
 }
 
 } // namespace hcloud::exp

@@ -58,7 +58,8 @@
 #include "core/types.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
-#include "obs/metrics_http.hpp"
+#include "obs/process_metrics.hpp"
+#include "srv/http_server.hpp"
 
 namespace hcloud::exp {
 
@@ -102,15 +103,6 @@ struct BenchCli
      *  on ad-hoc result recording (Runner::setRecordAdhoc) so uncached
      *  sweep runs show up in the report too. */
     bool wantsArtifacts() const;
-
-    /** Effective trace output path: --trace value or the HCLOUD_TRACE
-     *  named default; empty when tracing produces no file. */
-    std::string effectiveTracePath() const;
-
-    /** Effective timeline output path: --timeline value or the
-     *  HCLOUD_TIMELINE named default; empty when sampling produces no
-     *  file. */
-    std::string effectiveTimelinePath() const;
 
     /**
      * Port to serve live metrics on, if any: the --metrics-port value
@@ -173,10 +165,16 @@ int benchMain(int argc, char** argv, const std::string& title,
               SweepGridFn sweepGrid = nullptr);
 
 /**
- * RAII wrapper a bench main drops on its stack: starts the metrics HTTP
- * server when the CLI asked for one (effectiveMetricsPort()), prints the
- * scrape URL, and stops the server on destruction. When no port was
- * requested this is a no-op, so benches need no conditional.
+ * RAII metrics endpoint a bench main drops on its stack: when given a
+ * port, serves the registry on 127.0.0.1:<port> (0 binds an ephemeral
+ * port) and prints the scrape URL; the server stops on destruction.
+ * With no port this is a no-op, so benches need no conditional.
+ *
+ * Routes: `GET /metrics` (srv::metricsResponse) and `GET /healthz`
+ * (`ok`); unknown paths are 404 and wrong methods 405. One worker, no
+ * keep-alive (read-to-EOF scrapers rely on the close), requests bounded
+ * at 8 KiB with a 2 s idle timeout. The server only snapshots the
+ * thread-safe registry, so scraping mid-sweep cannot perturb results.
  *
  * Startup pre-registers `hcloud_run_completed_total` so scrapers polling
  * for progress see the counter at 0 before the first run lands instead
@@ -186,11 +184,14 @@ int benchMain(int argc, char** argv, const std::string& title,
 class ScopedMetricsServer
 {
   public:
-    explicit ScopedMetricsServer(const BenchCli& cli);
-    ~ScopedMetricsServer();
-
-    ScopedMetricsServer(const ScopedMetricsServer&) = delete;
-    ScopedMetricsServer& operator=(const ScopedMetricsServer&) = delete;
+    explicit ScopedMetricsServer(
+        std::optional<std::uint16_t> port,
+        obs::ProcessMetrics& metrics = obs::ProcessMetrics::instance());
+    /** Serves on the CLI's effectiveMetricsPort(), if any. */
+    explicit ScopedMetricsServer(const BenchCli& cli)
+        : ScopedMetricsServer(cli.effectiveMetricsPort())
+    {
+    }
 
     /** True when a server was requested but could not start. */
     bool failed() const { return failed_; }
@@ -198,8 +199,11 @@ class ScopedMetricsServer
     /** Bound port while serving, 0 otherwise. */
     std::uint16_t port() const { return server_.boundPort(); }
 
+    /** The underlying server (running(), stop(), restart). */
+    srv::HttpServer& server() { return server_; }
+
   private:
-    obs::MetricsHttpServer server_;
+    srv::HttpServer server_;
     bool failed_ = false;
 };
 

@@ -31,48 +31,24 @@ sampleSetJson(obs::JsonWriter& w, std::string_view name,
     w.endObject();
 }
 
-/** Deterministic header line identifying one cell in a trace JSONL. */
-std::string
-runHeaderLine(const core::RunResult& result)
-{
-    obs::JsonWriter w;
-    w.beginObject();
-    w.key("run");
-    w.beginObject();
-    w.field("strategy", result.strategy);
-    w.field("scenario", result.scenario);
-    w.field("profiling", result.profiling);
-    w.field("events", result.trace.recorded);
-    w.field("dropped", result.trace.dropped);
-    w.endObject();
-    w.endObject();
-    return w.take();
-}
-
-/** Deterministic header line identifying one cell in a timeline JSONL. */
-std::string
-timelineHeaderLine(const core::RunResult& result)
-{
-    obs::JsonWriter w;
-    w.beginObject();
-    w.key("run");
-    w.beginObject();
-    w.field("strategy", result.strategy);
-    w.field("scenario", result.scenario);
-    w.field("profiling", result.profiling);
-    w.field("samples", result.timeline.recorded);
-    w.field("dropped", result.timeline.dropped);
-    w.endObject();
-    w.endObject();
-    return w.take();
-}
-
-/** Splice one sink part file into @p out; optionally delete it after. */
+/**
+ * Append one run's stream to @p out: spliced from its sink part file
+ * when the run streamed to disk (the file is deleted after a successful
+ * splice when @p removeParts), serialized from memory otherwise.
+ * @return false for a run whose sink failed: its stream is incomplete.
+ */
+template <class Record>
 bool
-splicePart(std::ostream& out, const std::string& partPath,
-           bool removeParts)
+appendRun(std::ostream& out, const obs::RecordBuffer<Record>& buffer,
+          bool removeParts)
 {
-    std::ifstream in(partPath, std::ios::binary);
+    if (!buffer.sinkOk)
+        return false;
+    if (buffer.sinkPath.empty()) {
+        obs::writeJsonl(out, buffer);
+        return static_cast<bool>(out);
+    }
+    std::ifstream in(buffer.sinkPath, std::ios::binary);
     if (!in)
         return false;
     // Chunked copy (out << in.rdbuf() sets failbit on empty part files).
@@ -83,39 +59,49 @@ splicePart(std::ostream& out, const std::string& partPath,
         return false;
     in.close();
     if (removeParts)
-        std::remove(partPath.c_str());
+        std::remove(buffer.sinkPath.c_str());
     return true;
 }
 
 /**
- * Append one run's trace stream to @p out: spliced from its sink part
- * file when the run streamed to disk, serialized from memory otherwise.
+ * Write the @p stream member of every memoized cell as JSONL, in result
+ * order: a deterministic `{"run":{...}}` header line per cell, whose
+ * @p countKey ("events" or "samples") holds the recorded count, then
+ * the cell's records.
  */
+template <class Record>
 bool
-appendRunTrace(std::ostream& out, const core::RunResult& result,
-               bool removeParts)
+writeRunsJsonl(const std::string& path, const Runner& runner,
+               bool removeParts, const char* countKey,
+               obs::RecordBuffer<Record> core::RunResult::*stream)
 {
-    if (!result.trace.sinkOk)
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    if (!out)
         return false;
-    if (result.trace.sinkPath.empty()) {
-        obs::writeJsonl(out, result.trace);
-        return static_cast<bool>(out);
+    bool ok = true;
+    const auto write = [&](const core::RunResult& result) {
+        const obs::RecordBuffer<Record>& buffer = result.*stream;
+        obs::JsonWriter w;
+        w.beginObject();
+        w.key("run");
+        w.beginObject();
+        w.field("strategy", result.strategy);
+        w.field("scenario", result.scenario);
+        w.field("profiling", result.profiling);
+        w.field(countKey, buffer.recorded);
+        w.field("dropped", buffer.dropped);
+        w.endObject();
+        w.endObject();
+        out << w.str() << '\n';
+        ok = appendRun(out, buffer, removeParts) && ok;
+    };
+    for (const auto& [key, result] : runner.results()) {
+        (void)key;
+        write(result);
     }
-    return splicePart(out, result.trace.sinkPath, removeParts);
-}
-
-/** Timeline analogue of appendRunTrace, same splice contract. */
-bool
-appendRunTimeline(std::ostream& out, const core::RunResult& result,
-                  bool removeParts)
-{
-    if (!result.timeline.sinkOk)
-        return false;
-    if (result.timeline.sinkPath.empty()) {
-        obs::writeJsonl(out, result.timeline);
-        return static_cast<bool>(out);
-    }
-    return splicePart(out, result.timeline.sinkPath, removeParts);
+    for (const core::RunResult& result : runner.adhocResults())
+        write(result);
+    return ok && static_cast<bool>(out);
 }
 
 } // namespace
@@ -159,19 +145,19 @@ runResultJson(obs::JsonWriter& w, const core::RunResult& result)
     w.field("recorded", result.trace.recorded);
     w.field("dropped", result.trace.dropped);
     w.field("retained",
-            static_cast<std::uint64_t>(result.trace.events.size()));
+            static_cast<std::uint64_t>(result.trace.records.size()));
     w.endObject();
 
     w.key("timeline");
     w.beginObject();
-    w.field("cadence_sec", result.timeline.cadence);
+    w.field("cadence_sec", result.timelineCadence);
     w.field("recorded", result.timeline.recorded);
     w.field("dropped", result.timeline.dropped);
     w.field("retained",
-            static_cast<std::uint64_t>(result.timeline.samples.size()));
+            static_cast<std::uint64_t>(result.timeline.records.size()));
     w.key("samples");
     w.beginArray();
-    for (const obs::TimelineSample& s : result.timeline.samples) {
+    for (const obs::TimelineSample& s : result.timeline.records) {
         w.beginObject();
         obs::timelineSampleJson(w, s);
         w.endObject();
@@ -249,40 +235,16 @@ bool
 writeTraceJsonl(const std::string& path, const Runner& runner,
                 bool removeParts)
 {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        return false;
-    bool ok = true;
-    for (const auto& [key, result] : runner.results()) {
-        (void)key;
-        out << runHeaderLine(result) << '\n';
-        ok = appendRunTrace(out, result, removeParts) && ok;
-    }
-    for (const core::RunResult& result : runner.adhocResults()) {
-        out << runHeaderLine(result) << '\n';
-        ok = appendRunTrace(out, result, removeParts) && ok;
-    }
-    return ok && static_cast<bool>(out);
+    return writeRunsJsonl(path, runner, removeParts, "events",
+                          &core::RunResult::trace);
 }
 
 bool
 writeTimelineJsonl(const std::string& path, const Runner& runner,
                    bool removeParts)
 {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        return false;
-    bool ok = true;
-    for (const auto& [key, result] : runner.results()) {
-        (void)key;
-        out << timelineHeaderLine(result) << '\n';
-        ok = appendRunTimeline(out, result, removeParts) && ok;
-    }
-    for (const core::RunResult& result : runner.adhocResults()) {
-        out << timelineHeaderLine(result) << '\n';
-        ok = appendRunTimeline(out, result, removeParts) && ok;
-    }
-    return ok && static_cast<bool>(out);
+    return writeRunsJsonl(path, runner, removeParts, "samples",
+                          &core::RunResult::timeline);
 }
 
 } // namespace hcloud::exp

@@ -5,7 +5,7 @@
  * The per-run obs::MetricsRegistry is deliberately single-threaded and
  * scoped to one engine run; ProcessMetrics is its process-lifetime
  * counterpart, built so long sweeps can be watched while they run
- * (exposed over HTTP by obs::MetricsHttpServer in Prometheus text
+ * (served over HTTP by srv::metricsResponse in Prometheus text
  * exposition, rendered by obs/prom_text):
  *
  *  - counters and gauges are lock-free atomics (CAS-add doubles, so

@@ -1,74 +1,28 @@
 #include "obs/timeline.hpp"
 
+#include <cmath>
 #include <cstdlib>
-#include <ostream>
 
 #include "obs/json.hpp"
-#include "obs/process_metrics.hpp"
-#include "obs/trace_sink.hpp"
 
 namespace hcloud::obs {
 
 namespace {
 
-/**
- * Fold one harvested timeline buffer into the process registry.
- * Publishing happens at take(), not per record(): the record path runs
- * once per sampling tick and must stay free of shared-cache traffic.
- */
-void
-publishTimelineBuffer(const TimelineBuffer& buffer)
-{
-    ProcessMetrics& pm = ProcessMetrics::instance();
-    pm.counter("hcloud_timeline_samples_recorded_total",
-               "Timeline samples recorded by engine runs")
-        .inc(static_cast<double>(buffer.recorded));
-    pm.counter("hcloud_timeline_samples_dropped_total",
-               "Timeline samples evicted from a full ring (no sink)")
-        .inc(static_cast<double>(buffer.dropped));
-    pm.gauge("hcloud_timeline_ring_occupancy",
-             "In-memory samples in the most recently harvested ring")
-        .set(static_cast<double>(buffer.samples.size()));
-    pm.gauge("hcloud_timeline_sink_ok",
-             "1 when the last harvested timeline's sink was healthy")
-        .set(buffer.sinkOk ? 1.0 : 0.0);
-}
-
-const char*
-envTimelineValue()
-{
-    return std::getenv("HCLOUD_TIMELINE");
-}
-
-bool
-isOffToken(std::string_view v)
-{
-    return v.empty() || v == "0" || v == "off" || v == "false";
-}
-
-bool
-isOnToken(std::string_view v)
-{
-    return v == "1" || v == "on" || v == "true";
-}
+constexpr RecorderMetrics kTimelineMetrics{
+    {"hcloud_timeline_samples_recorded_total",
+     "Timeline samples recorded by engine runs"},
+    {"hcloud_timeline_samples_dropped_total",
+     "Timeline samples evicted from a full ring (no sink)"},
+    {"hcloud_timeline_ring_occupancy",
+     "In-memory samples in the most recently harvested ring"},
+    {"hcloud_timeline_sink_ok",
+     "1 when the last harvested timeline's sink was healthy"},
+};
 
 } // namespace
 
-bool
-envTimelineEnabled()
-{
-    const char* v = envTimelineValue();
-    return v && !isOffToken(v);
-}
-
-std::string
-envTimelinePath()
-{
-    const char* v = envTimelineValue();
-    if (!v || isOffToken(v) || isOnToken(v))
-        return "";
-    return v;
-}
+template class Recorder<TimelineSample>;
 
 sim::Duration
 envTimelineCadence(sim::Duration fallback)
@@ -78,136 +32,39 @@ envTimelineCadence(sim::Duration fallback)
         return fallback;
     char* end = nullptr;
     const double parsed = std::strtod(v, &end);
-    if (end == v || *end != '\0' || !(parsed > 0.0))
+    if (end == v || *end != '\0' || !std::isfinite(parsed) ||
+        !(parsed > 0.0))
         return fallback;
     return parsed;
 }
 
-bool
-TimelineConfig::resolveEnabled() const
+Timeline::Timeline(TimelineConfig config) : Recorder(kTimelineMetrics)
 {
-    switch (mode) {
-      case Mode::Off:
-        return false;
-      case Mode::On:
-        return true;
-      case Mode::Auto:
-        return envTimelineEnabled();
-    }
-    return false;
+    reset(std::move(config));
 }
-
-Timeline::Timeline(TimelineConfig config)
-    : config_(std::move(config)), enabled_(config_.resolveEnabled())
-{
-    if (config_.ringCapacity == 0)
-        config_.ringCapacity = 1;
-    if (enabled_ && !config_.sinkPath.empty()) {
-        sink_ = std::make_unique<TraceSink>(config_.sinkPath);
-        if (!sink_->ok()) {
-            // Unopenable sink: fall back to the in-memory ring so the
-            // run still samples; take() reports the failure.
-            sink_.reset();
-            sinkFailed_ = true;
-        }
-    }
-}
-
-Timeline::~Timeline() = default;
 
 void
 Timeline::reset(TimelineConfig config)
 {
-    sink_.reset(); // closes any previous sink file
     config_ = std::move(config);
-    enabled_ = config_.resolveEnabled();
-    if (config_.ringCapacity == 0)
-        config_.ringCapacity = 1;
-    samples_.clear(); // keeps the ring's grown capacity
-    head_ = 0;
-    recorded_ = 0;
-    dropped_ = 0;
-    sinkFailed_ = false;
-    if (enabled_ && !config_.sinkPath.empty()) {
-        sink_ = std::make_unique<TraceSink>(config_.sinkPath);
-        if (!sink_->ok()) {
-            sink_.reset();
-            sinkFailed_ = true;
-        }
-    }
+    rearm(config_, config_.resolveEnabled());
 }
 
 void
 Timeline::record(TimelineSample sample)
 {
-    if (!enabled_)
+    if (!enabled())
         return;
-    sample.seq = recorded_;
-    ++recorded_;
-    if (samples_.size() < config_.ringCapacity) {
-        samples_.push_back(std::move(sample));
-        return;
-    }
-    if (sink_) {
-        // Ring wrap with a sink attached: drain the ring to disk instead
-        // of evicting, so the on-disk stream stays complete.
-        flushRingToSink();
-        if (samples_.empty()) {
-            samples_.push_back(std::move(sample));
-            return;
-        }
-        // The flush failed mid-write; fall through to ring eviction.
-    }
-    // Ring full: overwrite the oldest slot.
-    samples_[head_] = std::move(sample);
-    head_ = (head_ + 1) % config_.ringCapacity;
-    ++dropped_;
-}
-
-void
-Timeline::flushRingToSink()
-{
-    // With a healthy sink the ring never wraps (head_ == 0), but flush in
-    // chronological order anyway so a mid-run fallback stays consistent.
-    for (std::size_t i = 0; i < samples_.size(); ++i) {
-        const TimelineSample& s = samples_[(head_ + i) % samples_.size()];
-        if (!sink_->appendLine(toJson(s))) {
-            // Keep the unflushed tail: rotate it to the front and resume
-            // ring semantics from there.
-            std::vector<TimelineSample> tail;
-            tail.reserve(samples_.size() - i);
-            for (std::size_t j = i; j < samples_.size(); ++j)
-                tail.push_back(
-                    std::move(samples_[(head_ + j) % samples_.size()]));
-            samples_ = std::move(tail);
-            head_ = 0;
-            sink_.reset();
-            sinkFailed_ = true;
-            return;
-        }
-    }
-    samples_.clear();
-    head_ = 0;
-}
-
-std::vector<TimelineSample>
-Timeline::chronological() const
-{
-    std::vector<TimelineSample> out;
-    out.reserve(samples_.size());
-    for (std::size_t i = 0; i < samples_.size(); ++i)
-        out.push_back(samples_[(head_ + i) % samples_.size()]);
-    return out;
+    sample.seq = recordedCount();
+    push(std::move(sample));
 }
 
 bool
 Timeline::latest(TimelineSample* out) const
 {
-    if (samples_.empty())
+    if (empty())
         return false;
-    const std::size_t last =
-        (head_ + samples_.size() - 1) % samples_.size();
-    *out = samples_[last];
+    *out = (*this)[size() - 1];
     return true;
 }
 
@@ -218,8 +75,8 @@ Timeline::since(std::uint64_t sinceSeq, std::uint64_t stride,
     if (stride < 1)
         stride = 1;
     std::vector<TimelineSample> out;
-    for (std::size_t i = 0; i < samples_.size(); ++i) {
-        const TimelineSample& s = samples_[(head_ + i) % samples_.size()];
+    for (std::size_t i = 0; i < size(); ++i) {
+        const TimelineSample& s = (*this)[i];
         if (s.seq < sinceSeq || s.seq % stride != 0)
             continue;
         if (out.size() >= maxSamples)
@@ -232,59 +89,10 @@ Timeline::since(std::uint64_t sinceSeq, std::uint64_t stride,
 TimelineBuffer
 Timeline::snapshot() const
 {
-    TimelineBuffer buffer;
-    buffer.recorded = recorded_;
-    buffer.dropped = dropped_;
-    buffer.sinkOk = !sinkFailed_;
-    buffer.cadence = config_.cadence;
-    if (sink_) {
-        buffer.sinkPath = config_.sinkPath;
-        buffer.flushed = sink_->written();
-    }
-    buffer.samples = chronological();
-    return buffer;
-}
-
-TimelineBuffer
-Timeline::take()
-{
-    TimelineBuffer buffer;
-    buffer.recorded = recorded_;
-    buffer.dropped = dropped_;
-    buffer.sinkOk = !sinkFailed_;
-    buffer.cadence = config_.cadence;
-    if (sink_) {
-        // Final drain: the on-disk stream must hold every recorded
-        // sample before the buffer advertises the sink path.
-        flushRingToSink();
-        if (sink_ && sink_->flush()) {
-            buffer.sinkPath = config_.sinkPath;
-            buffer.flushed = sink_->written();
-            sink_.reset();
-            head_ = 0;
-            recorded_ = 0;
-            dropped_ = 0;
-            samples_.clear();
-            publishTimelineBuffer(buffer);
-            return buffer;
-        }
-        // The drain or flush broke the sink; report the ring fallback.
-        buffer.sinkOk = false;
-        buffer.dropped = dropped_;
-        sink_.reset();
-        sinkFailed_ = true;
-    }
-    if (head_ == 0) {
-        buffer.samples = std::move(samples_);
-    } else {
-        buffer.samples = chronological();
-    }
-    samples_.clear();
-    head_ = 0;
-    recorded_ = 0;
-    dropped_ = 0;
-    if (enabled_)
-        publishTimelineBuffer(buffer);
+    TimelineBuffer buffer = counts();
+    buffer.records.reserve(size());
+    for (std::size_t i = 0; i < size(); ++i)
+        buffer.records.push_back((*this)[i]);
     return buffer;
 }
 
@@ -334,13 +142,6 @@ toJson(const TimelineSample& sample)
     timelineSampleJson(w, sample);
     w.endObject();
     return w.take();
-}
-
-void
-writeJsonl(std::ostream& out, const TimelineBuffer& buffer)
-{
-    for (const TimelineSample& s : buffer.samples)
-        out << toJson(s) << '\n';
 }
 
 bool

@@ -10,14 +10,13 @@
  * replay diffs and live gauges all read this stream instead of
  * reconstructing state post-hoc.
  *
- * Contracts (shared with Tracer/TraceSink):
- *  - near-zero cost when disabled: the engine checks one bool before
+ * The ring, the sink and the accounting are obs::Recorder's
+ * (recorder.hpp). What the timeline adds:
+ *  - near-zero cost when disabled: the engine checks enabled() before
  *    building a sample, so a disabled timeline costs a predicted branch
  *    per tick and allocates nothing;
- *  - bounded memory: a ring of `ringCapacity` samples; once full, the
- *    oldest sample is dropped (and counted) — unless a sink is attached
- *    (TimelineConfig::sinkPath), in which case the ring drains to disk on
- *    wrap (and at take()) so the stream is complete and `dropped` stays 0;
+ *  - the `seq` stamp, the since-cursor, latest-sample and snapshot reads
+ *    the daemon serves, and the sampling cadence;
  *  - deterministic and *perturbation-free*: samples are built exclusively
  *    from read-only accessors (memoized quality/load values, OuProcess
  *    value() without advanceTo()), so enabling the timeline cannot move a
@@ -25,73 +24,51 @@
  *    timeline on or off, and the sample stream itself is byte-identical
  *    across runner thread counts and between batch and session driving.
  *
- * Enablement mirrors HCLOUD_TRACE: Mode Auto defers to HCLOUD_TIMELINE
- * (unset/"0"/"off" = disabled; "1"/"on"/"true" = enabled; any other value
- * = enabled, and names a default JSONL output path for benches).
+ * Enablement mirrors HCLOUD_TRACE: Mode Auto defers to the
+ * HCLOUD_TIMELINE environment switch (obs::envSwitch).
  */
 
 #ifndef HCLOUD_OBS_TIMELINE_HPP
 #define HCLOUD_OBS_TIMELINE_HPP
 
 #include <cstdint>
-#include <iosfwd>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "obs/recorder.hpp"
 #include "sim/types.hpp"
 
 namespace hcloud::obs {
 
-class TraceSink;
 class JsonWriter;
 struct JsonValue;
 
 /** Timeline knobs, embedded in core::EngineConfig. */
-struct TimelineConfig
+struct TimelineConfig : RecorderConfig
 {
-    enum class Mode
-    {
-        Auto, ///< follow the HCLOUD_TIMELINE environment variable
-        Off,
-        On,
-    };
+    /** Environment switch consulted under Mode::Auto. */
+    static constexpr const char* kEnv = "HCLOUD_TIMELINE";
 
-    Mode mode = Mode::Auto;
+    TimelineConfig() { ringCapacity = std::size_t{1} << 12; }
+
     /** Virtual-time sampling period in seconds. Samples land on the first
      *  engine tick at or after each cadence boundary, so for a fixed tick
      *  the sample times are identical in batch and session driving. */
     sim::Duration cadence = 30.0;
-    /** Ring size in samples; the oldest sample is dropped when full. */
-    std::size_t ringCapacity = 1u << 12;
-    /** When non-empty, samples stream to a JSONL sink at exactly this
-     *  path and `dropped` stays 0 (same exclusivity contract as
-     *  TraceConfig::sinkPath). */
-    std::string sinkPath;
-    /** Per-run sink derivation stem for exp::runSweep (each run derives
-     *  "<stem>.<sweep>-<cell>-<seed>.part"; exp::writeTimelineJsonl
-     *  merges). */
-    std::string sinkStem;
 
-    /** Resolve mode (consulting the environment under Auto). */
-    bool resolveEnabled() const;
+    bool resolveEnabled() const
+    {
+        return RecorderConfig::resolveEnabled(kEnv);
+    }
 };
-
-/** True when HCLOUD_TIMELINE asks for timeline sampling. */
-bool envTimelineEnabled();
-
-/**
- * JSONL output path carried by HCLOUD_TIMELINE, when its value is neither
- * a boolean-ish token nor empty; "" otherwise.
- */
-std::string envTimelinePath();
 
 /**
  * Sampling cadence carried by HCLOUD_TIMELINE_CADENCE (virtual seconds),
- * or @p fallback when unset/unparsable/non-positive. Applied at the CLI
- * edge only — engine behaviour never reads it directly, so journaled
- * daemon sessions replay with their recorded cadence.
+ * or @p fallback when unset, unparsable, non-finite or non-positive.
+ * Applied at the CLI edge only — engine behaviour never reads it
+ * directly, so journaled daemon sessions replay with their recorded
+ * cadence.
  */
 sim::Duration envTimelineCadence(sim::Duration fallback);
 
@@ -143,56 +120,31 @@ struct TimelineSample
     double costTotal = 0.0;
 };
 
-/** The recorded stream plus bookkeeping, as stored in a RunResult. */
-struct TimelineBuffer
-{
-    /** Retained in-memory samples in chronological order (empty when the
-     *  full stream went to a sink file instead). */
-    std::vector<TimelineSample> samples;
-    /** Samples accepted by record() (>= samples.size()). */
-    std::uint64_t recorded = 0;
-    /** Samples evicted by the ring bound (0 whenever a sink is healthy). */
-    std::uint64_t dropped = 0;
-    /** Sink file holding the complete stream ("" = ring-only run). */
-    std::string sinkPath;
-    /** Samples flushed to the sink (== recorded while sinkOk). */
-    std::uint64_t flushed = 0;
-    /** False when a sink was requested but opening/writing it failed —
-     *  the samples above then hold the ring-bounded fallback. */
-    bool sinkOk = true;
-    /** The cadence the run sampled at (virtual seconds). */
-    sim::Duration cadence = 0.0;
-};
+/** A run's sample stream plus bookkeeping, as stored in a RunResult. */
+using TimelineBuffer = RecordBuffer<TimelineSample>;
+
+/** Serialize @p sample as a single JSON object (no trailing newline). */
+std::string toJson(const TimelineSample& sample);
+
+extern template class Recorder<TimelineSample>;
 
 /**
  * Collects TimelineSamples for one engine run. Not thread-safe; each run
  * owns its own timeline (parallel sweeps stay TSan-clean for free).
  */
-class Timeline
+class Timeline : public Recorder<TimelineSample>
 {
   public:
     explicit Timeline(TimelineConfig config = {});
-    ~Timeline();
 
-    Timeline(const Timeline&) = delete;
-    Timeline& operator=(const Timeline&) = delete;
-
-    bool enabled() const { return enabled_; }
     const TimelineConfig& config() const { return config_; }
-
-    /** The attached sink, or nullptr (disabled, none configured, or the
-     *  sink broke and the timeline fell back to ring eviction). */
-    const TraceSink* sink() const { return sink_.get(); }
 
     /** Record one sample (stamps seq; applies the ring bound).
      *  No-op when disabled. */
     void record(TimelineSample sample);
 
-    /** Samples retained so far (raw ring storage; use since()/latest()
-     *  for chronological access once the ring may have wrapped). */
-    const std::vector<TimelineSample>& samples() const { return samples_; }
-    std::uint64_t recordedCount() const { return recorded_; }
-    std::uint64_t droppedCount() const { return dropped_; }
+    /** Samples retained so far, oldest first (size(), operator[]). */
+    const Recorder<TimelineSample>& samples() const { return *this; }
 
     /** Copy the most recent sample into @p out.
      *  @return false when nothing has been recorded (or all evicted). */
@@ -212,14 +164,6 @@ class Timeline
     TimelineBuffer snapshot() const;
 
     /**
-     * Move the collected stream out (the timeline is then empty). With a
-     * sink attached, the remaining ring contents are flushed first and
-     * the sink file is closed; the returned buffer then carries the sink
-     * path instead of in-memory samples.
-     */
-    TimelineBuffer take();
-
-    /**
      * Re-arm the timeline for a new run under @p config: counters reset,
      * any open sink is closed and a new one opened per the config. The
      * sample ring keeps its grown capacity (core::EngineRun::reset).
@@ -228,22 +172,7 @@ class Timeline
     void reset(TimelineConfig config);
 
   private:
-    /** Drain the ring (chronological order) into the sink; on failure
-     *  drops the sink and latches sinkFailed_. */
-    void flushRingToSink();
-    /** Chronological copy of the (possibly wrapped) ring. */
-    std::vector<TimelineSample> chronological() const;
-
     TimelineConfig config_;
-    bool enabled_;
-    std::vector<TimelineSample> samples_;
-    /** Index of the chronologically-oldest sample once the ring wrapped. */
-    std::size_t head_ = 0;
-    std::uint64_t recorded_ = 0;
-    std::uint64_t dropped_ = 0;
-    std::unique_ptr<TraceSink> sink_;
-    /** A sink was requested but could not be opened or written. */
-    bool sinkFailed_ = false;
 };
 
 /**
@@ -252,12 +181,6 @@ class Timeline
  * endpoint so every surface emits byte-identical sample text.
  */
 void timelineSampleJson(JsonWriter& w, const TimelineSample& sample);
-
-/** Serialize @p sample as a single JSON object (no trailing newline). */
-std::string toJson(const TimelineSample& sample);
-
-/** Write one sample per line. */
-void writeJsonl(std::ostream& out, const TimelineBuffer& buffer);
 
 /** Parse a sample out of an already-parsed JSON object.
  *  @return false when @p v is not a timeline sample. */

@@ -7,7 +7,6 @@
 #include <unistd.h>
 
 #include "obs/process_metrics.hpp"
-#include "obs/tracer.hpp"
 
 namespace hcloud::obs {
 
@@ -29,14 +28,6 @@ TraceSink::~TraceSink()
     flush();
     if (fd_ >= 0)
         ::close(fd_);
-}
-
-bool
-TraceSink::append(const TraceEvent& event)
-{
-    if (!ok())
-        return false;
-    return appendLine(toJson(event));
 }
 
 bool
@@ -86,6 +77,7 @@ TraceSink::drain()
                      "Bytes of trace JSONL written to streaming sinks")
             .inc(static_cast<double>(buffer_.size()));
     buffer_.clear();
+    drained_ = written_;
     return true;
 }
 

@@ -1,23 +1,22 @@
 /**
  * @file
- * TraceSink: incremental, fd-backed JSONL persistence for trace events.
+ * TraceSink: incremental, fd-backed JSONL persistence for recorders.
  *
- * The sink exists so traces of long runs are bounded only by disk, never
- * by the tracer's ringCapacity: the owning obs::Tracer drains its ring
+ * The sink exists so streams of long runs are bounded only by disk,
+ * never by a ring's capacity: the owning obs::Recorder drains its ring
  * into the sink whenever the ring would wrap (and once more at take()),
  * so `dropped` stays 0 for the whole run while in-memory cost stays at
- * ringCapacity events.
+ * ringCapacity records. The span tracer streams through it as well.
  *
  * Contracts:
- *  - one sink file per run (the tracer that opens it is single-threaded,
- *    so the sink needs no locking);
- *  - append() serializes with toJson(), whose deterministic number
- *    formatting keeps sink files byte-identical across thread counts for
- *    a fixed seed;
+ *  - one sink file per owner (a recorder is single-threaded and the span
+ *    tracer locks around it, so the sink needs no locking);
+ *  - lines arrive pre-serialized, so the caller's deterministic number
+ *    formatting keeps sink files byte-identical across thread counts;
  *  - writes are buffered in memory and pushed through the file
  *    descriptor in large chunks; any short write or I/O error latches
- *    ok() to false, after which the tracer falls back to plain
- *    ring-eviction semantics (and reports the failure in TraceBuffer).
+ *    ok() to false. The lines of the failed drain are lost: written()
+ *    minus drained() counts them.
  */
 
 #ifndef HCLOUD_OBS_TRACE_SINK_HPP
@@ -27,11 +26,9 @@
 #include <string>
 #include <string_view>
 
-#include "obs/trace_event.hpp"
-
 namespace hcloud::obs {
 
-/** Streams TraceEvents to a JSONL file, one line per event. */
+/** Streams JSONL lines to a file. */
 class TraceSink
 {
   public:
@@ -46,20 +43,19 @@ class TraceSink
     bool ok() const { return fd_ >= 0 && !failed_; }
     const std::string& path() const { return path_; }
 
-    /** Serialize @p event and buffer it for writing.
-     *  @return false when the sink is (or just became) broken. */
-    bool append(const TraceEvent& event);
-
     /** Buffer one pre-serialized JSONL line (no trailing newline —
-     *  the sink adds it). The span tracer streams through this seam.
+     *  the sink adds it).
      *  @return false when the sink is (or just became) broken. */
     bool appendLine(std::string_view line);
 
     /** Drain the in-memory buffer through the descriptor. */
     bool flush();
 
-    /** Events successfully handed to append(). */
+    /** Lines successfully handed to appendLine(). */
     std::uint64_t written() const { return written_; }
+
+    /** Lines whose drain through the descriptor succeeded. */
+    std::uint64_t drained() const { return drained_; }
 
   private:
     bool drain();
@@ -68,6 +64,7 @@ class TraceSink
     int fd_ = -1;
     std::string buffer_;
     std::uint64_t written_ = 0;
+    std::uint64_t drained_ = 0;
     bool failed_ = false;
 };
 

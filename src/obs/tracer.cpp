@@ -1,131 +1,41 @@
 #include "obs/tracer.hpp"
 
 #include <cmath>
-#include <cstdlib>
 #include <limits>
-#include <ostream>
 
 #include "obs/json.hpp"
-#include "obs/process_metrics.hpp"
-#include "obs/trace_sink.hpp"
 
 namespace hcloud::obs {
 
 namespace {
 
-/**
- * Fold one harvested trace buffer into the process registry. Publishing
- * happens at take(), not per record(): the record path runs once per sim
- * event and must stay free of shared-cache traffic.
- */
-void
-publishTraceBuffer(const TraceBuffer& buffer)
-{
-    ProcessMetrics& pm = ProcessMetrics::instance();
-    pm.counter("hcloud_trace_events_recorded_total",
-               "Trace events accepted past severity/category filters")
-        .inc(static_cast<double>(buffer.recorded));
-    pm.counter("hcloud_trace_events_dropped_total",
-               "Trace events evicted from a full ring (no sink)")
-        .inc(static_cast<double>(buffer.dropped));
-    pm.gauge("hcloud_trace_ring_occupancy",
-             "In-memory events in the most recently harvested ring")
-        .set(static_cast<double>(buffer.events.size()));
-    pm.gauge("hcloud_trace_sink_ok",
-             "1 when the last harvested tracer's sink was healthy")
-        .set(buffer.sinkOk ? 1.0 : 0.0);
-}
-
-const char*
-envTraceValue()
-{
-    return std::getenv("HCLOUD_TRACE");
-}
-
-bool
-isOffToken(std::string_view v)
-{
-    return v.empty() || v == "0" || v == "off" || v == "false";
-}
-
-bool
-isOnToken(std::string_view v)
-{
-    return v == "1" || v == "on" || v == "true";
-}
+constexpr RecorderMetrics kTraceMetrics{
+    {"hcloud_trace_events_recorded_total",
+     "Trace events accepted past severity/category filters"},
+    {"hcloud_trace_events_dropped_total",
+     "Trace events evicted from a full ring (no sink)"},
+    {"hcloud_trace_ring_occupancy",
+     "In-memory events in the most recently harvested ring"},
+    {"hcloud_trace_sink_ok",
+     "1 when the last harvested tracer's sink was healthy"},
+};
 
 } // namespace
 
-bool
-envTraceEnabled()
-{
-    const char* v = envTraceValue();
-    return v && !isOffToken(v);
-}
+template class Recorder<TraceEvent>;
 
-std::string
-envTracePath()
+Tracer::Tracer(TraceConfig config) : Recorder(kTraceMetrics)
 {
-    const char* v = envTraceValue();
-    if (!v || isOffToken(v) || isOnToken(v))
-        return "";
-    return v;
+    reset(std::move(config));
 }
-
-bool
-TraceConfig::resolveEnabled() const
-{
-    switch (mode) {
-      case Mode::Off:
-        return false;
-      case Mode::On:
-        return true;
-      case Mode::Auto:
-        return envTraceEnabled();
-    }
-    return false;
-}
-
-Tracer::Tracer(TraceConfig config)
-    : config_(std::move(config)), enabled_(config_.resolveEnabled())
-{
-    if (config_.ringCapacity == 0)
-        config_.ringCapacity = 1;
-    if (enabled_ && !config_.sinkPath.empty()) {
-        sink_ = std::make_unique<TraceSink>(config_.sinkPath);
-        if (!sink_->ok()) {
-            // Unopenable sink: fall back to the in-memory ring so the
-            // run still traces; take() reports the failure.
-            sink_.reset();
-            sinkFailed_ = true;
-        }
-    }
-}
-
-Tracer::~Tracer() = default;
 
 void
 Tracer::reset(TraceConfig config)
 {
-    sink_.reset(); // closes any previous sink file
     config_ = std::move(config);
-    enabled_ = config_.resolveEnabled();
-    if (config_.ringCapacity == 0)
-        config_.ringCapacity = 1;
-    events_.clear(); // keeps the ring's grown capacity
-    head_ = 0;
-    recorded_ = 0;
-    dropped_ = 0;
-    sinkFailed_ = false;
+    rearm(config_, config_.resolveEnabled());
     activeTrace_ = 0;
     onRecord_ = nullptr;
-    if (enabled_ && !config_.sinkPath.empty()) {
-        sink_ = std::make_unique<TraceSink>(config_.sinkPath);
-        if (!sink_->ok()) {
-            sink_.reset();
-            sinkFailed_ = true;
-        }
-    }
 }
 
 void
@@ -148,7 +58,7 @@ Tracer::emit(EventKind kind, Severity severity, DecisionReason reason,
 void
 Tracer::record(TraceEvent event)
 {
-    if (!enabled_)
+    if (!enabled())
         return;
     if (event.severity < config_.minSeverity)
         return;
@@ -156,100 +66,9 @@ Tracer::record(TraceEvent event)
         return;
     if (activeTrace_ != 0 && event.trace == 0)
         event.trace = activeTrace_;
-    ++recorded_;
     if (onRecord_)
         onRecord_(event);
-    if (events_.size() < config_.ringCapacity) {
-        events_.push_back(std::move(event));
-        return;
-    }
-    if (sink_) {
-        // Ring wrap with a sink attached: drain the ring to disk instead
-        // of evicting, so the on-disk stream stays complete.
-        flushRingToSink();
-        if (events_.empty()) {
-            events_.push_back(std::move(event));
-            return;
-        }
-        // The flush failed mid-write; fall through to ring eviction.
-    }
-    // Ring full: overwrite the oldest slot.
-    events_[head_] = std::move(event);
-    head_ = (head_ + 1) % config_.ringCapacity;
-    ++dropped_;
-}
-
-void
-Tracer::flushRingToSink()
-{
-    // With a healthy sink the ring never wraps (head_ == 0), but flush in
-    // chronological order anyway so a mid-run fallback stays consistent.
-    for (std::size_t i = 0; i < events_.size(); ++i) {
-        const TraceEvent& ev = events_[(head_ + i) % events_.size()];
-        if (!sink_->append(ev)) {
-            // Keep the unflushed tail: rotate it to the front and resume
-            // ring semantics from there.
-            std::vector<TraceEvent> tail;
-            tail.reserve(events_.size() - i);
-            for (std::size_t j = i; j < events_.size(); ++j)
-                tail.push_back(
-                    std::move(events_[(head_ + j) % events_.size()]));
-            events_ = std::move(tail);
-            head_ = 0;
-            sink_.reset();
-            sinkFailed_ = true;
-            return;
-        }
-    }
-    events_.clear();
-    head_ = 0;
-}
-
-TraceBuffer
-Tracer::take()
-{
-    TraceBuffer buffer;
-    buffer.recorded = recorded_;
-    buffer.dropped = dropped_;
-    buffer.sinkOk = !sinkFailed_;
-    if (sink_) {
-        // Final drain: the on-disk stream must hold every recorded
-        // event before the buffer advertises the sink path.
-        flushRingToSink();
-        if (sink_ && sink_->flush()) {
-            buffer.sinkPath = config_.sinkPath;
-            buffer.flushed = sink_->written();
-            sink_.reset();
-            head_ = 0;
-            recorded_ = 0;
-            dropped_ = 0;
-            events_.clear();
-            publishTraceBuffer(buffer);
-            return buffer;
-        }
-        // The drain or flush broke the sink; report the ring fallback.
-        buffer.sinkOk = false;
-        buffer.dropped = dropped_;
-        sink_.reset();
-        sinkFailed_ = true;
-    }
-    if (head_ == 0) {
-        buffer.events = std::move(events_);
-    } else {
-        // Unwrap the ring into chronological order.
-        buffer.events.reserve(events_.size());
-        for (std::size_t i = 0; i < events_.size(); ++i) {
-            buffer.events.push_back(
-                std::move(events_[(head_ + i) % events_.size()]));
-        }
-    }
-    events_.clear();
-    head_ = 0;
-    recorded_ = 0;
-    dropped_ = 0;
-    if (enabled_)
-        publishTraceBuffer(buffer);
-    return buffer;
+    push(std::move(event));
 }
 
 std::string
@@ -282,13 +101,6 @@ toJson(const TraceEvent& event)
         w.field("trace", event.trace);
     w.endObject();
     return w.take();
-}
-
-void
-writeJsonl(std::ostream& out, const TraceBuffer& buffer)
-{
-    for (const TraceEvent& ev : buffer.events)
-        out << toJson(ev) << '\n';
 }
 
 bool

@@ -13,6 +13,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "obs/process_metrics.hpp"
+#include "obs/prom_text.hpp"
 #include "obs/span.hpp"
 
 namespace hcloud::srv {
@@ -206,6 +208,19 @@ statusReason(int status)
       case 503: return "Service Unavailable";
       default:  return "Unknown";
     }
+}
+
+HttpResponse
+metricsResponse(obs::ProcessMetrics& metrics)
+{
+    metrics
+        .counter("hcloud_exposition_scrapes_total",
+                 "Scrapes served by the /metrics endpoint")
+        .inc();
+    HttpResponse response;
+    response.contentType = "text/plain; version=0.0.4; charset=utf-8";
+    response.body = obs::renderPromText(metrics);
+    return response;
 }
 
 HttpServer::HttpServer(HttpServerConfig config) : config_(std::move(config))

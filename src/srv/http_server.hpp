@@ -2,10 +2,10 @@
  * @file
  * HttpServer: small threaded HTTP/1.1 server for the serving layer.
  *
- * Generalizes the socket/accept loop proven in obs::MetricsHttpServer
- * (which is now a thin wrapper over this class) into a reusable server
- * with method+pattern routing, keep-alive, a bounded accepted-connection
- * queue and a worker pool. Design constraints:
+ * A reusable server with method+pattern routing, keep-alive, a bounded
+ * accepted-connection queue and a worker pool; the daemon and the bench
+ * metrics endpoint (exp::ScopedMetricsServer) both run on it. Design
+ * constraints:
  *
  *  - all socket calls are EINTR-safe; responses are written with
  *    MSG_NOSIGNAL so a client hanging up cannot SIGPIPE the process;
@@ -50,6 +50,7 @@
 #include <vector>
 
 namespace hcloud::obs {
+class ProcessMetrics;
 class SpanTracer;
 }
 
@@ -101,6 +102,13 @@ struct HttpResponse
 
 /** Standard reason phrase for @p status ("OK", "Not Found", ...). */
 const char* statusReason(int status);
+
+/**
+ * The `GET /metrics` answer for @p metrics: Prometheus text exposition
+ * 0.0.4, rendered at scrape time. The scrape is counted in
+ * `hcloud_exposition_scrapes_total` first, so it sees itself.
+ */
+HttpResponse metricsResponse(obs::ProcessMetrics& metrics);
 
 /**
  * Wall-clock stage durations of one served request, in steady-clock

@@ -1,5 +1,6 @@
 #include "srv/json_api.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace hcloud::srv {
@@ -26,16 +27,15 @@ requireObject(const JsonValue& v, std::string_view what)
     return v;
 }
 
-/** Required number field. */
+/** The finite number in field @p name. */
 double
-getNumber(const JsonValue& obj, std::string_view name)
+finiteNumber(const JsonValue& f, std::string_view name)
 {
-    const JsonValue* f = obj.find(name);
-    if (!f)
-        fieldError(name, "is required");
-    if (f->type != JsonValue::Type::Number)
+    if (f.type != JsonValue::Type::Number)
         fieldError(name, "must be a number");
-    return f->number;
+    if (!std::isfinite(f.number))
+        fieldError(name, "must be a finite number");
+    return f.number;
 }
 
 /** Optional number field. */
@@ -43,11 +43,22 @@ double
 getNumberOr(const JsonValue& obj, std::string_view name, double fallback)
 {
     const JsonValue* f = obj.find(name);
+    return f ? finiteNumber(*f, name) : fallback;
+}
+
+/** Optional unsigned 64-bit field (ids, seeds). Range-checked before the
+ *  cast, which is undefined for values outside [0, 2^64). */
+std::uint64_t
+getU64Or(const JsonValue& obj, std::string_view name,
+         std::uint64_t fallback)
+{
+    const JsonValue* f = obj.find(name);
     if (!f)
         return fallback;
-    if (f->type != JsonValue::Type::Number)
-        fieldError(name, "must be a number");
-    return f->number;
+    const double v = finiteNumber(*f, name);
+    if (v < 0.0 || v >= 0x1p64)
+        fieldError(name, "must be in [0, 2^64)");
+    return static_cast<std::uint64_t>(v);
 }
 
 std::string
@@ -87,6 +98,15 @@ errorJson(std::string_view code, std::string_view message)
     w.endObject();
     w.endObject();
     return w.take();
+}
+
+double
+getNumber(const JsonValue& obj, std::string_view name)
+{
+    const JsonValue* f = obj.find(name);
+    if (!f)
+        fieldError(name, "is required");
+    return finiteNumber(*f, name);
 }
 
 obs::JsonValue
@@ -172,9 +192,8 @@ parseSessionConfig(const JsonValue& v)
             *scenario, "duration", config.scenario.duration);
         if (config.scenario.duration <= 0.0)
             fieldError("duration", "must be positive");
-        config.scenario.seed = static_cast<std::uint64_t>(getNumberOr(
-            *scenario, "seed",
-            static_cast<double>(config.scenario.seed)));
+        config.scenario.seed =
+            getU64Or(*scenario, "seed", config.scenario.seed);
         config.scenario.loadScale = getNumberOr(
             *scenario, "loadScale", config.scenario.loadScale);
         if (config.scenario.loadScale <= 0.0)
@@ -186,8 +205,8 @@ parseSessionConfig(const JsonValue& v)
 
     if (const JsonValue* engine = v.find("engine")) {
         requireObject(*engine, "engine");
-        config.engine.seed = static_cast<std::uint64_t>(getNumberOr(
-            *engine, "seed", static_cast<double>(config.engine.seed)));
+        config.engine.seed =
+            getU64Or(*engine, "seed", config.engine.seed);
         config.engine.useProfiling = getBoolOr(
             *engine, "useProfiling", config.engine.useProfiling);
         config.engine.retentionMultiple =
@@ -219,7 +238,7 @@ parseJobSpec(const JsonValue& v)
 {
     requireObject(v, "job spec");
     workload::JobSpec spec;
-    spec.id = static_cast<sim::JobId>(getNumberOr(v, "id", 0.0));
+    spec.id = getU64Or(v, "id", 0);
 
     const std::string kind = getStringOr(v, "kind", "");
     if (kind.empty())
@@ -250,10 +269,8 @@ parseJobSpec(const JsonValue& v)
                            std::to_string(workload::kNumResources) +
                            " numbers");
         for (std::size_t i = 0; i < workload::kNumResources; ++i) {
-            const JsonValue& c = sensitivity->array[i];
-            if (c.type != JsonValue::Type::Number)
-                fieldError("sensitivity", "must contain only numbers");
-            spec.sensitivity[i] = c.number;
+            spec.sensitivity[i] =
+                finiteNumber(sensitivity->array[i], "sensitivity");
         }
     }
     return spec;

@@ -3,7 +3,8 @@
  * JSON request/response vocabulary of the hcloud serve API.
  *
  * Strictly-typed parsing: every field is checked for presence (where
- * required) and JSON type, and violations throw ApiError with an HTTP
+ * required), JSON type and, for numbers, finiteness and range; violations
+ * throw ApiError with an HTTP
  * status (400 malformed JSON, 422 wrong shape/unknown enum value) and a
  * machine-readable code — the daemon's handlers translate these into the
  * structured error body
@@ -59,6 +60,13 @@ struct SessionConfig
 
 /** Parse a request body into a JSON value: 400 on malformed JSON. */
 obs::JsonValue parseBody(std::string_view body);
+
+/**
+ * Required number field @p name of @p obj: 422 invalid_field when it is
+ * missing, not a number, or not finite (the parser reads `nan` and
+ * `1e999` as numbers; neither may reach the engine or the journal).
+ */
+double getNumber(const obs::JsonValue& obj, std::string_view name);
 
 /** 422 unless every enum/type constraint holds. */
 SessionConfig parseSessionConfig(const obs::JsonValue& v);

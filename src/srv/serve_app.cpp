@@ -1,7 +1,6 @@
 #include "srv/serve_app.hpp"
 
 #include <cerrno>
-#include <cmath>
 #include <cstdlib>
 #include <utility>
 #include <vector>
@@ -11,7 +10,6 @@
 #include "exp/report_json.hpp"
 #include "obs/json.hpp"
 #include "obs/log.hpp"
-#include "obs/prom_text.hpp"
 #include "obs/timeline.hpp"
 #include "srv/json_api.hpp"
 
@@ -292,15 +290,7 @@ ServeApp::routes()
                       return handleTimeline(r);
                   }));
     server_.route("GET", "/metrics", [this](const HttpRequest&) {
-        metrics_
-            .counter("hcloud_exposition_scrapes_total",
-                     "Scrapes served by the /metrics endpoint")
-            .inc();
-        HttpResponse response;
-        response.contentType =
-            "text/plain; version=0.0.4; charset=utf-8";
-        response.body = obs::renderPromText(metrics_);
-        return response;
+        return metricsResponse(metrics_);
     });
     server_.route("GET", "/healthz", [this](const HttpRequest& r) {
         return handleHealthz(r);
@@ -402,16 +392,12 @@ HttpResponse
 ServeApp::handleAdvance(const HttpRequest& request)
 {
     const std::string& tenant = request.params[0];
-    const obs::JsonValue body = parseBody(request.body);
-    const obs::JsonValue* to = body.find("to");
-    if (!to || to->type != obs::JsonValue::Type::Number)
-        throw ApiError{422, "invalid_field",
-                       "field \"to\" must be a number"};
     // Validate BEFORE touching the strand: a non-finite target (1e309
     // overflows strtod to +inf) would make runUntil spin forever —
     // external-load processes self-reschedule — pinning the shard and
-    // starving every tenant on it.
-    if (!std::isfinite(to->number) || to->number < 0.0)
+    // starving every tenant on it. getNumber rejects it.
+    const double to = getNumber(parseBody(request.body), "to");
+    if (to < 0.0)
         throw ApiError{422, "invalid_field",
                        "field \"to\" must be a finite number >= 0"};
 
@@ -419,7 +405,7 @@ ServeApp::handleAdvance(const HttpRequest& request)
     bool haveLatest = false;
     const std::pair<sim::Time, std::size_t> advanced = sessions_.with(
         tenant,
-        [t = to->number, maxAdvance = maxAdvance_, &latest,
+        [t = to, maxAdvance = maxAdvance_, &latest,
          &haveLatest](EngineSession& s) {
             const sim::Time now = s.now();
             if (t < now)

@@ -243,7 +243,7 @@ TEST(EngineRunReset, ResetRunIsBitIdenticalToFreshEngine)
     const core::RunResult direct = fresh.runBatch(trace, "target");
 
     expectIdentical(viaReset, direct, "reset");
-    ASSERT_EQ(viaReset.trace.events.size(), direct.trace.events.size());
+    ASSERT_EQ(viaReset.trace.records.size(), direct.trace.records.size());
 }
 
 TEST(EngineRunReset, ResetAcrossProfilingAndStrategiesMatchesFreshEngine)

@@ -17,7 +17,11 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "core/engine.hpp"
 #include "core/mapping_policy.hpp"
@@ -26,7 +30,7 @@
 #include "obs/json.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/phase_profiler.hpp"
-#include "obs/trace_sink.hpp"
+#include "obs/timeline.hpp"
 #include "obs/tracer.hpp"
 #include "workload/scenario.hpp"
 
@@ -145,12 +149,12 @@ TEST(ObsTracer, RingOverflowDropsOldestKeepsChronology)
     EXPECT_EQ(tracer.recordedCount(), 10u);
     EXPECT_EQ(tracer.droppedCount(), 6u);
     const obs::TraceBuffer buffer = tracer.take();
-    ASSERT_EQ(buffer.events.size(), 4u);
+    ASSERT_EQ(buffer.records.size(), 4u);
     EXPECT_EQ(buffer.recorded, 10u);
     EXPECT_EQ(buffer.dropped, 6u);
     // The newest four survive, in chronological order.
     for (std::size_t i = 0; i < 4; ++i)
-        EXPECT_EQ(buffer.events[i].time, static_cast<double>(6 + i));
+        EXPECT_EQ(buffer.records[i].time, static_cast<double>(6 + i));
     // take() leaves the tracer empty but still enabled.
     EXPECT_TRUE(tracer.events().empty());
     EXPECT_TRUE(tracer.enabled());
@@ -182,25 +186,25 @@ TEST(ObsTracer, EnvKnobMirrorsHcloudThreadsConventions)
     const std::string saved_value = saved ? saved : "";
 
     ::setenv("HCLOUD_TRACE", "0", 1);
-    EXPECT_FALSE(obs::envTraceEnabled());
-    EXPECT_EQ(obs::envTracePath(), "");
+    EXPECT_FALSE(obs::envSwitch("HCLOUD_TRACE").enabled);
+    EXPECT_EQ(obs::envSwitch("HCLOUD_TRACE").path, "");
     obs::TraceConfig cfg; // Mode::Auto
     EXPECT_FALSE(cfg.resolveEnabled());
 
     ::setenv("HCLOUD_TRACE", "1", 1);
-    EXPECT_TRUE(obs::envTraceEnabled());
-    EXPECT_EQ(obs::envTracePath(), "");
+    EXPECT_TRUE(obs::envSwitch("HCLOUD_TRACE").enabled);
+    EXPECT_EQ(obs::envSwitch("HCLOUD_TRACE").path, "");
     EXPECT_TRUE(cfg.resolveEnabled());
 
     ::setenv("HCLOUD_TRACE", "off", 1);
-    EXPECT_FALSE(obs::envTraceEnabled());
+    EXPECT_FALSE(obs::envSwitch("HCLOUD_TRACE").enabled);
 
     ::setenv("HCLOUD_TRACE", "/tmp/run.jsonl", 1);
-    EXPECT_TRUE(obs::envTraceEnabled());
-    EXPECT_EQ(obs::envTracePath(), "/tmp/run.jsonl");
+    EXPECT_TRUE(obs::envSwitch("HCLOUD_TRACE").enabled);
+    EXPECT_EQ(obs::envSwitch("HCLOUD_TRACE").path, "/tmp/run.jsonl");
 
     ::unsetenv("HCLOUD_TRACE");
-    EXPECT_FALSE(obs::envTraceEnabled());
+    EXPECT_FALSE(obs::envSwitch("HCLOUD_TRACE").enabled);
     // Explicit modes ignore the environment either way.
     cfg.mode = obs::TraceConfig::Mode::On;
     EXPECT_TRUE(cfg.resolveEnabled());
@@ -326,7 +330,7 @@ TEST(ObsTraceSink, SinkKeepsCompleteStreamPastRingCapacity)
     EXPECT_TRUE(buffer.sinkOk);
     EXPECT_EQ(buffer.sinkPath, path);
     EXPECT_EQ(buffer.flushed, 100u);
-    EXPECT_TRUE(buffer.events.empty())
+    EXPECT_TRUE(buffer.records.empty())
         << "a sink-backed buffer advertises the file, not ring leftovers";
 
     // The file holds every event, in record order, parseable.
@@ -361,8 +365,63 @@ TEST(ObsTraceSink, UnopenableSinkFallsBackToBoundedRing)
     EXPECT_TRUE(buffer.sinkPath.empty());
     EXPECT_EQ(buffer.recorded, 10u);
     EXPECT_EQ(buffer.dropped, 6u);
-    ASSERT_EQ(buffer.events.size(), 4u);
-    EXPECT_EQ(buffer.events.front().time, 6.0);
+    ASSERT_EQ(buffer.records.size(), 4u);
+    EXPECT_EQ(buffer.records.front().time, 6.0);
+}
+
+/** Record entry @p i into a tracer or a timeline. */
+void
+recordOne(obs::Tracer& tracer, int i)
+{
+    tracer.job(obs::EventKind::JobSubmit, static_cast<double>(i),
+               static_cast<sim::JobId>(i + 1));
+}
+
+void
+recordOne(obs::Timeline& timeline, int i)
+{
+    obs::TimelineSample sample;
+    sample.t = static_cast<double>(i);
+    timeline.record(sample);
+}
+
+template <class R>
+class RecorderSinkFailure : public ::testing::Test
+{
+};
+using RecorderTypes = ::testing::Types<obs::Tracer, obs::Timeline>;
+TYPED_TEST_SUITE(RecorderSinkFailure, RecorderTypes);
+
+/**
+ * A sink that fails (ENOSPC on /dev/full) loses the lines of the failed
+ * drain; they must be counted as dropped, so every record is accounted
+ * for. 3 records fail only at take()'s final flush, 40 fail after ring
+ * wraps moved them into the sink buffer, 10000 fail mid-run.
+ */
+TYPED_TEST(RecorderSinkFailure, FailedSinkAccountsForEveryRecord)
+{
+    if (::access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "/dev/full is absent";
+    for (const int count : {3, 40, 10000}) {
+        std::remove_cvref_t<decltype(std::declval<TypeParam&>().config())>
+            cfg;
+        cfg.mode = obs::RecorderConfig::Mode::On;
+        cfg.ringCapacity = 4;
+        cfg.sinkPath = "/dev/full";
+        TypeParam recorder(cfg);
+        ASSERT_NE(recorder.sink(), nullptr);
+        for (int i = 0; i < count; ++i)
+            recordOne(recorder, i);
+        const auto buffer = recorder.take();
+        EXPECT_FALSE(buffer.sinkOk) << count;
+        EXPECT_TRUE(buffer.sinkPath.empty()) << count;
+        EXPECT_EQ(buffer.recorded, static_cast<std::uint64_t>(count));
+        EXPECT_EQ(buffer.recorded,
+                  buffer.flushed + buffer.dropped + buffer.records.size())
+            << count << " records: flushed " << buffer.flushed
+            << ", dropped " << buffer.dropped << ", retained "
+            << buffer.records.size();
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -520,7 +579,7 @@ std::size_t
 countKind(const obs::TraceBuffer& trace, obs::EventKind kind)
 {
     std::size_t n = 0;
-    for (const obs::TraceEvent& e : trace.events)
+    for (const obs::TraceEvent& e : trace.records)
         if (e.kind == kind)
             ++n;
     return n;
@@ -530,7 +589,7 @@ std::size_t
 countReason(const obs::TraceBuffer& trace, obs::DecisionReason reason)
 {
     std::size_t n = 0;
-    for (const obs::TraceEvent& e : trace.events)
+    for (const obs::TraceEvent& e : trace.records)
         if (e.reason == reason)
             ++n;
     return n;
@@ -565,7 +624,7 @@ TEST(ObsEngineTrace, EventStreamAgreesWithRunCounters)
     EXPECT_GE(countKind(r.trace, obs::EventKind::Decision), r.jobCount);
 
     // Decision events always carry a reason.
-    for (const obs::TraceEvent& e : r.trace.events) {
+    for (const obs::TraceEvent& e : r.trace.records) {
         if (e.kind == obs::EventKind::Decision) {
             EXPECT_NE(e.reason, obs::DecisionReason::None)
                 << "decision at t=" << e.time << " missing its reason";
@@ -598,9 +657,9 @@ TEST(ObsEngineTrace, TracingDoesNotPerturbTheSimulation)
         tracedRun(core::StrategyKind::HM,
                   workload::ScenarioKind::HighVariability,
                   obs::TraceConfig::Mode::On);
-    EXPECT_TRUE(off.trace.events.empty());
+    EXPECT_TRUE(off.trace.records.empty());
     EXPECT_EQ(off.trace.recorded, 0u);
-    EXPECT_FALSE(on.trace.events.empty());
+    EXPECT_FALSE(on.trace.records.empty());
     // Bit-identical simulation either way.
     EXPECT_EQ(off.makespan, on.makespan);
     EXPECT_EQ(off.meanPerfNorm(), on.meanPerfNorm());

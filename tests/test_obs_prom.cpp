@@ -2,8 +2,9 @@
  * @file
  * Live metrics stack: ProcessMetrics registry semantics (labels, kinds,
  * sanitization, concurrent publishing), the Prometheus text renderer's
- * escaping and histogram encoding, and the HTTP endpoint end to end over
- * a real loopback socket (routes, bounded reads, clean shutdown).
+ * escaping and histogram encoding, and the bench metrics endpoint
+ * (exp::ScopedMetricsServer) end to end over a real loopback socket
+ * (routes, bounded reads, clean shutdown).
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +21,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "obs/metrics_http.hpp"
+#include "exp/cli.hpp"
 #include "obs/process_metrics.hpp"
 #include "obs/prom_text.hpp"
 
@@ -261,15 +262,23 @@ httpRequest(std::uint16_t port, const std::string& request)
     return response;
 }
 
+/** Scrapes @p pm's endpoint has served so far. */
+double
+scrapeCount(obs::ProcessMetrics& pm)
+{
+    return pm.counter("hcloud_exposition_scrapes_total").value();
+}
+
 TEST(MetricsHttp, ServesMetricsAndHealthOnEphemeralPort)
 {
     obs::ProcessMetrics pm;
     pm.counter("scraped_total", "a counter").inc(3.0);
-    obs::MetricsHttpServer server(pm);
-    std::string error;
-    ASSERT_TRUE(server.start(0, &error)) << error;
+    exp::ScopedMetricsServer scoped(0, pm);
+    ASSERT_FALSE(scoped.failed());
+    srv::HttpServer& server = scoped.server();
     ASSERT_TRUE(server.running());
     ASSERT_NE(server.boundPort(), 0);
+    EXPECT_EQ(scoped.port(), server.boundPort());
 
     const std::string metrics = httpRequest(
         server.boundPort(), "GET /metrics HTTP/1.1\r\n"
@@ -282,7 +291,7 @@ TEST(MetricsHttp, ServesMetricsAndHealthOnEphemeralPort)
     EXPECT_NE(metrics.find("scraped_total 3\n"), std::string::npos)
         << metrics;
     // The scrape itself is counted, into this server's registry.
-    EXPECT_EQ(server.scrapeCount(), 1u);
+    EXPECT_EQ(scrapeCount(pm), 1.0);
     EXPECT_NE(obs::renderPromText(pm).find(
                   "hcloud_exposition_scrapes_total 1"),
               std::string::npos);
@@ -300,46 +309,47 @@ TEST(MetricsHttp, ServesMetricsAndHealthOnEphemeralPort)
 TEST(MetricsHttp, QueryStringsRouteLikeBarePaths)
 {
     obs::ProcessMetrics pm;
-    obs::MetricsHttpServer server(pm);
-    ASSERT_TRUE(server.start(0));
+    exp::ScopedMetricsServer server(0, pm);
+    ASSERT_FALSE(server.failed());
     const std::string response = httpRequest(
-        server.boundPort(), "GET /metrics?format=text HTTP/1.1\r\n\r\n");
+        server.port(), "GET /metrics?format=text HTTP/1.1\r\n\r\n");
     EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos);
 }
 
 TEST(MetricsHttp, UnknownPathsAndMethodsAreRejected)
 {
     obs::ProcessMetrics pm;
-    obs::MetricsHttpServer server(pm);
-    ASSERT_TRUE(server.start(0));
+    exp::ScopedMetricsServer server(0, pm);
+    ASSERT_FALSE(server.failed());
     const std::string missing = httpRequest(
-        server.boundPort(), "GET /nope HTTP/1.1\r\n\r\n");
+        server.port(), "GET /nope HTTP/1.1\r\n\r\n");
     EXPECT_NE(missing.find("HTTP/1.1 404"), std::string::npos);
     const std::string post = httpRequest(
-        server.boundPort(), "POST /metrics HTTP/1.1\r\n"
-                            "Content-Length: 0\r\n\r\n");
+        server.port(), "POST /metrics HTTP/1.1\r\n"
+                       "Content-Length: 0\r\n\r\n");
     EXPECT_NE(post.find("HTTP/1.1 405"), std::string::npos);
-    EXPECT_EQ(server.scrapeCount(), 0u);
+    EXPECT_EQ(scrapeCount(pm), 0.0);
 }
 
 TEST(MetricsHttp, SurvivesMalformedRequests)
 {
     obs::ProcessMetrics pm;
-    obs::MetricsHttpServer server(pm);
-    ASSERT_TRUE(server.start(0));
-    httpRequest(server.boundPort(), "garbage\r\n\r\n");
-    httpRequest(server.boundPort(), "\r\n\r\n");
+    exp::ScopedMetricsServer server(0, pm);
+    ASSERT_FALSE(server.failed());
+    httpRequest(server.port(), "garbage\r\n\r\n");
+    httpRequest(server.port(), "\r\n\r\n");
     // The loop must still serve after junk connections.
     const std::string ok = httpRequest(
-        server.boundPort(), "GET /healthz HTTP/1.1\r\n\r\n");
+        server.port(), "GET /healthz HTTP/1.1\r\n\r\n");
     EXPECT_NE(ok.find("200 OK"), std::string::npos);
 }
 
 TEST(MetricsHttp, StartStopCyclesAreCleanAndIdempotent)
 {
     obs::ProcessMetrics pm;
-    obs::MetricsHttpServer server(pm);
-    ASSERT_TRUE(server.start(0));
+    exp::ScopedMetricsServer scoped(0, pm);
+    ASSERT_FALSE(scoped.failed());
+    srv::HttpServer& server = scoped.server();
     const std::uint16_t first = server.boundPort();
     server.stop();
     server.stop(); // idempotent
@@ -356,8 +366,8 @@ TEST(MetricsHttp, ScrapesObserveConcurrentPublishing)
 {
     obs::ProcessMetrics pm;
     obs::ProcessCounter& c = pm.counter("work_total");
-    obs::MetricsHttpServer server(pm);
-    ASSERT_TRUE(server.start(0));
+    exp::ScopedMetricsServer server(0, pm);
+    ASSERT_FALSE(server.failed());
     std::thread publisher([&c] {
         for (int i = 0; i < 5000; ++i)
             c.inc();
@@ -366,12 +376,12 @@ TEST(MetricsHttp, ScrapesObserveConcurrentPublishing)
     // crash or tear (TSan validates the absence of data races).
     for (int i = 0; i < 3; ++i) {
         const std::string page = httpRequest(
-            server.boundPort(), "GET /metrics HTTP/1.1\r\n\r\n");
+            server.port(), "GET /metrics HTTP/1.1\r\n\r\n");
         EXPECT_NE(page.find("work_total"), std::string::npos);
     }
     publisher.join();
     const std::string page = httpRequest(
-        server.boundPort(), "GET /metrics HTTP/1.1\r\n\r\n");
+        server.port(), "GET /metrics HTTP/1.1\r\n\r\n");
     EXPECT_NE(page.find("work_total 5000\n"), std::string::npos) << page;
 }
 

@@ -136,14 +136,14 @@ TEST(Timeline, SnapshotIsNonDestructive)
         timeline.record(makeSample(i));
     const obs::TimelineBuffer snap = timeline.snapshot();
     EXPECT_EQ(snap.recorded, 5u);
-    ASSERT_EQ(snap.samples.size(), 5u);
-    EXPECT_EQ(snap.samples.front().seq, 0u);
+    ASSERT_EQ(snap.records.size(), 5u);
+    EXPECT_EQ(snap.records.front().seq, 0u);
     // The timeline keeps recording after a snapshot.
     timeline.record(makeSample(5));
     EXPECT_EQ(timeline.recordedCount(), 6u);
     const obs::TimelineBuffer taken = timeline.take();
     EXPECT_EQ(taken.recorded, 6u);
-    EXPECT_EQ(taken.samples.size(), 6u);
+    EXPECT_EQ(taken.records.size(), 6u);
     EXPECT_EQ(timeline.recordedCount(), 0u);
 }
 
@@ -167,7 +167,7 @@ TEST(TimelineSink, TinyRingStreamsCompleteFile)
     EXPECT_EQ(buffer.dropped, 0u) << "sink-backed timelines never evict";
     EXPECT_EQ(buffer.flushed, 21u);
     EXPECT_EQ(buffer.sinkPath, path);
-    EXPECT_TRUE(buffer.samples.empty())
+    EXPECT_TRUE(buffer.records.empty())
         << "the stream lives in the file, not the buffer";
 
     std::ifstream in(path, std::ios::binary);
@@ -196,7 +196,7 @@ TEST(TimelineSink, OpenFailureFallsBackToRing)
     const obs::TimelineBuffer buffer = timeline.take();
     EXPECT_FALSE(buffer.sinkOk);
     EXPECT_EQ(buffer.recorded, 10u);
-    EXPECT_EQ(buffer.samples.size(), 4u)
+    EXPECT_EQ(buffer.records.size(), 4u)
         << "fallback keeps the ring-bounded tail";
     EXPECT_EQ(buffer.dropped, 6u);
 }
@@ -416,7 +416,7 @@ TEST(TimelineEnv, TokensMirrorHcloudTrace)
     const std::string saved_value = saved ? saved : "";
 
     ::unsetenv("HCLOUD_TIMELINE");
-    EXPECT_FALSE(obs::envTimelineEnabled());
+    EXPECT_FALSE(obs::envSwitch("HCLOUD_TIMELINE").enabled);
     obs::TimelineConfig cfg;
     EXPECT_FALSE(cfg.resolveEnabled()) << "Auto follows the environment";
     cfg.mode = obs::TimelineConfig::Mode::On;
@@ -424,17 +424,19 @@ TEST(TimelineEnv, TokensMirrorHcloudTrace)
 
     for (const char* off : {"0", "off", "false", ""}) {
         ::setenv("HCLOUD_TIMELINE", off, 1);
-        EXPECT_FALSE(obs::envTimelineEnabled()) << "'" << off << "'";
+        EXPECT_FALSE(obs::envSwitch("HCLOUD_TIMELINE").enabled)
+            << "'" << off << "'";
     }
     for (const char* on : {"1", "on", "true"}) {
         ::setenv("HCLOUD_TIMELINE", on, 1);
-        EXPECT_TRUE(obs::envTimelineEnabled()) << "'" << on << "'";
-        EXPECT_EQ(obs::envTimelinePath(), "")
+        EXPECT_TRUE(obs::envSwitch("HCLOUD_TIMELINE").enabled)
+            << "'" << on << "'";
+        EXPECT_EQ(obs::envSwitch("HCLOUD_TIMELINE").path, "")
             << "boolean tokens carry no path";
     }
     ::setenv("HCLOUD_TIMELINE", "/tmp/t.jsonl", 1);
-    EXPECT_TRUE(obs::envTimelineEnabled());
-    EXPECT_EQ(obs::envTimelinePath(), "/tmp/t.jsonl");
+    EXPECT_TRUE(obs::envSwitch("HCLOUD_TIMELINE").enabled);
+    EXPECT_EQ(obs::envSwitch("HCLOUD_TIMELINE").path, "/tmp/t.jsonl");
 
     if (saved)
         ::setenv("HCLOUD_TIMELINE", saved_value.c_str(), 1);
@@ -451,7 +453,7 @@ TEST(TimelineEnv, CadenceOverrideIsValidatedAtTheEdge)
     EXPECT_DOUBLE_EQ(obs::envTimelineCadence(30.0), 30.0);
     ::setenv("HCLOUD_TIMELINE_CADENCE", "120", 1);
     EXPECT_DOUBLE_EQ(obs::envTimelineCadence(30.0), 120.0);
-    for (const char* bad : {"0", "-5", "abc", ""}) {
+    for (const char* bad : {"0", "-5", "abc", "", "inf", "1e999"}) {
         ::setenv("HCLOUD_TIMELINE_CADENCE", bad, 1);
         EXPECT_DOUBLE_EQ(obs::envTimelineCadence(30.0), 30.0)
             << "'" << bad << "'";

@@ -213,6 +213,51 @@ TEST_F(SrvApi, WrongFieldTypesAre422)
                          "{\"scenario\":{\"loadScale\":-1}}");
     EXPECT_EQ(s3, 422);
     EXPECT_EQ(errorCode(j3), "invalid_field");
+
+    // The parser reads nan and 1e999 (which overflows to inf) as
+    // numbers; non-finite values, and ids or seeds outside [0, 2^64),
+    // are field errors too, never journaled or handed to the engine.
+    for (const char* bad : {
+             "{\"engine\":{\"timeline\":{\"enabled\":true,"
+             "\"cadence\":nan}}}",
+             "{\"engine\":{\"timeline\":{\"enabled\":true,"
+             "\"cadence\":1e999}}}",
+             "{\"scenario\":{\"duration\":nan}}",
+             "{\"scenario\":{\"duration\":1e999}}",
+             "{\"scenario\":{\"loadScale\":nan}}",
+             "{\"scenario\":{\"sensitiveFraction\":nan}}",
+             "{\"scenario\":{\"seed\":-1}}",
+             "{\"scenario\":{\"seed\":1e20}}",
+             "{\"scenario\":{\"seed\":nan}}",
+             "{\"engine\":{\"seed\":-1}}",
+             "{\"engine\":{\"retentionMultiple\":1e999}}",
+             "{\"engine\":{\"maxRuntime\":nan}}",
+         }) {
+        auto [status, json] = post("/v1/tenants", bad);
+        EXPECT_EQ(status, 422) << bad;
+        EXPECT_EQ(errorCode(json), "invalid_field") << bad;
+    }
+
+    createTenant("nf");
+    for (const char* bad : {
+             "{\"kind\":\"hadoop-svm\",\"arrival\":nan}",
+             "{\"kind\":\"hadoop-svm\",\"arrival\":1,"
+             "\"idealDuration\":1e999}",
+             "{\"kind\":\"hadoop-svm\",\"arrival\":1,"
+             "\"idealDuration\":nan}",
+             "{\"kind\":\"hadoop-svm\",\"arrival\":1,"
+             "\"coresIdeal\":nan}",
+             "{\"kind\":\"memcached\",\"arrival\":1,"
+             "\"lcLoadRps\":1e999}",
+             "{\"kind\":\"hadoop-svm\",\"arrival\":1,"
+             "\"sensitivity\":[0.5,nan,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5]}",
+             "{\"id\":-1,\"kind\":\"hadoop-svm\",\"arrival\":1}",
+             "{\"id\":1e20,\"kind\":\"hadoop-svm\",\"arrival\":1}",
+         }) {
+        auto [status, json] = post("/v1/tenants/nf/jobs", bad);
+        EXPECT_EQ(status, 422) << bad;
+        EXPECT_EQ(errorCode(json), "invalid_field") << bad;
+    }
 }
 
 TEST_F(SrvApi, JobSpecValidation)

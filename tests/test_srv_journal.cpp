@@ -387,6 +387,55 @@ TEST_F(SrvJournal, RestartTruncatesCorruptTailAndKeepsPrefix)
     EXPECT_EQ(job.status, 200) << job.body;
 }
 
+/**
+ * Non-finite numbers (the parser reads `nan` and `1e999` as numbers) are
+ * rejected before they reach the journal: JSON has no literal for them,
+ * so a journaled `null` used to stop replay at that line and lose every
+ * accepted command after it.
+ */
+TEST_F(SrvJournal, RestartAfterRejectedNonFiniteInputRestoresEveryTenant)
+{
+    std::string acmeReport, betaReport;
+    {
+        auto app = makeApp(dataDir_);
+        srv::HttpClient client(app->boundPort());
+        for (const char* cadence : {"nan", "1e999"}) {
+            const srv::ClientResponse r = client.post(
+                "/v1/tenants",
+                std::string("{\"id\":\"bad\",\"engine\":{\"timeline\":"
+                            "{\"enabled\":true,\"cadence\":") +
+                    cadence + "}}}");
+            EXPECT_EQ(r.status, 422) << r.body;
+            EXPECT_EQ(errorCode(r.body), "invalid_field");
+        }
+        driveTenant(client, "acme");
+        srv::ClientResponse r =
+            client.post("/v1/tenants", tenantBody("beta"));
+        ASSERT_EQ(r.status, 201) << r.body;
+        r = client.post("/v1/tenants/acme/jobs",
+                        "{\"kind\":\"hadoop-svm\",\"arrival\":130,"
+                        "\"idealDuration\":1e999}");
+        EXPECT_EQ(r.status, 422) << r.body;
+        EXPECT_EQ(errorCode(r.body), "invalid_field");
+        // The valid job after the rejected one must survive the restart.
+        r = client.post("/v1/tenants/acme/jobs", jobBody(130.0));
+        ASSERT_EQ(r.status, 200) << r.body;
+        r = client.post("/v1/tenants/beta/jobs", jobBody(5.0));
+        ASSERT_EQ(r.status, 200) << r.body;
+        acmeReport = report(client, "acme");
+        betaReport = report(client, "beta");
+        app->stop();
+    }
+    EXPECT_FALSE(fileExists(srv::SessionJournal::pathFor(dataDir_, "bad")));
+
+    auto app = makeApp(dataDir_);
+    EXPECT_EQ(app->sessions().lifecycleStats().restored, 2u);
+    EXPECT_EQ(app->sessions().lifecycleStats().truncatedLines, 0u);
+    srv::HttpClient client(app->boundPort());
+    EXPECT_EQ(report(client, "acme"), acmeReport);
+    EXPECT_EQ(report(client, "beta"), betaReport);
+}
+
 TEST_F(SrvJournal, IdleEvictionAndLazyRevivalPreserveReports)
 {
     srv::ServeConfig config;

@@ -45,7 +45,7 @@ std::vector<BatchDecision>
 batchDecisions(const core::RunResult& result)
 {
     std::vector<BatchDecision> out;
-    for (const obs::TraceEvent& e : result.trace.events) {
+    for (const obs::TraceEvent& e : result.trace.records) {
         if (e.kind == obs::EventKind::Decision && e.job != 0)
             out.push_back({e.time, e.job, obs::toString(e.reason),
                            e.value, e.detail});
@@ -260,8 +260,8 @@ TEST(ServeDeterminism, HttpTimelineJsonlMatchesBatchRunner)
     ASSERT_EQ(batch.dropped, 0u)
         << "batch run must fit the timeline ring for a full comparison";
     std::vector<std::string> batchLines;
-    batchLines.reserve(batch.samples.size());
-    for (const obs::TimelineSample& s : batch.samples)
+    batchLines.reserve(batch.records.size());
+    for (const obs::TimelineSample& s : batch.records)
         batchLines.push_back(obs::toJson(s));
 
     core::EngineConfig engine = cell.config;
