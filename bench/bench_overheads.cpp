@@ -27,6 +27,8 @@
 #include "obs/timeline.hpp"
 #include "obs/tracer.hpp"
 #include "profiling/quasar.hpp"
+#include "runtime/sharded_executor.hpp"
+#include "runtime/thread_pool.hpp"
 #include "sim/simulator.hpp"
 #include "workload/archetypes.hpp"
 #include "workload/scenario.hpp"
@@ -434,6 +436,60 @@ BM_PromTextRender(benchmark::State& state)
     }
 }
 BENCHMARK(BM_PromTextRender)->Unit(benchmark::kMicrosecond);
+
+/**
+ * A labelled series looked up by name and labels, then set: what a
+ * per-request gauge update costs without a cached handle (one registry
+ * mutex, label sort, family and series map walks). The registry holds
+ * 100 tenants' worth of series, as a serve daemon would.
+ */
+void
+BM_ProcessMetricsLabeledLookup(benchmark::State& state)
+{
+    obs::ProcessMetrics pm;
+    for (int i = 0; i < 100; ++i)
+        pm.gauge("hcloud_sim_now", "clock", {{"tenant", std::to_string(i)}});
+    const std::string tenant = "42";
+    double v = 0.0;
+    for (auto _ : state) {
+        pm.gauge("hcloud_sim_now", "clock", {{"tenant", tenant}}).set(v);
+        v += 1.0;
+    }
+}
+BENCHMARK(BM_ProcessMetricsLabeledLookup);
+
+/** The same update through a handle resolved once: one atomic store. */
+void
+BM_ProcessGaugeCachedSet(benchmark::State& state)
+{
+    obs::ProcessMetrics pm;
+    obs::ProcessGauge& gauge =
+        pm.gauge("hcloud_sim_now", "clock", {{"tenant", "42"}});
+    double v = 0.0;
+    for (auto _ : state) {
+        gauge.set(v);
+        benchmark::DoNotOptimize(v += 1.0);
+    }
+}
+BENCHMARK(BM_ProcessGaugeCachedSet);
+
+/**
+ * One ShardedExecutor::call() from a single caller onto idle shards of
+ * an 8-shard executor over a 4-thread pool: the strand hop every serve
+ * request makes. An idle shard runs the task on the caller.
+ */
+void
+BM_StrandCallIdleShard(benchmark::State& state)
+{
+    runtime::ThreadPool pool(4);
+    runtime::ShardedExecutor executor(pool, 8);
+    std::size_t shard = 0;
+    for (auto _ : state) {
+        const int v = executor.call(shard++ % 8, [] { return 1; });
+        benchmark::DoNotOptimize(v);
+    }
+}
+BENCHMARK(BM_StrandCallIdleShard);
 
 /**
  * DES kernel hot path: schedule + fire one event with an engine-sized

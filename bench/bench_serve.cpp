@@ -10,8 +10,10 @@
  * --advances > 0) driving an advance phase so the submit and advance
  * request stages report separate latency distributions. Reports
  * aggregate submission throughput and p50/p90/p99/max latency, and
- * writes the machine-readable artifact BENCH_serve.json (CI uploads
- * it) with one "stages" row per request stage.
+ * writes a machine-readable v3 artifact (default bench_serve.json; CI
+ * passes --out and gates on it) with one "stages" row per request
+ * stage. The committed BENCH_serve.json is a different document, the
+ * hcbench paired-run record, which a bare run must not overwrite.
  *
  * --span-trace runs the whole bench with request-span tracing enabled
  * (the acceptance path: every HTTP request must join its engine
@@ -160,7 +162,7 @@ main(int argc, char** argv)
     std::size_t clients = 8;
     std::size_t jobsPerTenant = 100;
     std::size_t advances = 3;
-    std::string outPath = "BENCH_serve.json";
+    std::string outPath = "bench_serve.json";
     std::string spanPath;
     std::string dataDir;
     srv::FsyncPolicy fsync = srv::FsyncPolicy::Interval;

@@ -87,6 +87,51 @@ ShardedExecutor::runShard(std::size_t index)
     }
 }
 
+bool
+ShardedExecutor::claim(std::size_t index)
+{
+    Shard& s = *shards_[index];
+    std::lock_guard<std::mutex> lock(s.mutex);
+    // `scheduled` clear means no drain job and an empty FIFO, so running
+    // here cannot overtake or overlap anything posted earlier.
+    if (s.scheduled)
+        return false;
+    s.scheduled = true;
+    s.depth.fetch_add(1, std::memory_order_relaxed);
+    return true;
+}
+
+void
+ShardedExecutor::release(std::size_t index)
+{
+    Shard& s = *shards_[index];
+    s.depth.fetch_sub(1, std::memory_order_relaxed);
+    s.executed.fetch_add(1, std::memory_order_relaxed);
+    {
+        std::lock_guard<std::mutex> lock(s.mutex);
+        if (s.queue.empty()) {
+            s.scheduled = false;
+            s.idle.notify_all();
+            return;
+        }
+    }
+    // Work queued behind the claim: keep `scheduled` set and let a pool
+    // worker drain it, so this caller returns to its own request.
+    pool_.submit([this, index] { runShard(index); });
+}
+
+void
+ShardedExecutor::markInlineWait()
+{
+    obs::SpanTracer* st = obs::currentSpanTracer();
+    if (!st || !st->enabled() || !obs::currentSpanContext().valid())
+        return;
+    const obs::SpanContext ctx = obs::currentSpanContext();
+    const std::uint64_t now = obs::SpanTracer::nowNs();
+    st->span(ctx.trace, st->newSpanId(), ctx.span, "strand.wait", now,
+             now);
+}
+
 std::vector<std::size_t>
 ShardedExecutor::queueDepths() const
 {

@@ -12,21 +12,34 @@
  * before clearing `scheduled`, so a task posted concurrently is never
  * stranded).
  *
- * Guarantees:
- *  - tasks posted to one shard run in post order, never concurrently;
- *  - call() blocks until the task has run and returns its result;
- *    exceptions propagate to the caller;
- *  - on a serial pool (pool.serial() == true) an idle shard's task runs
- *    inline on the calling thread, preserving the repo-wide "thread
- *    count 1 is deterministic and stack-traceable" property — but shard
- *    exclusion still holds when several threads share the executor: a
- *    caller hitting a busy shard enqueues behind the running drain and
- *    (for call()) parks until its task has run.
+ * call() first tries to claim the shard for the calling thread: when the
+ * shard is idle (`scheduled` is false, so its FIFO is empty) it sets
+ * `scheduled` under the shard lock and runs the task inline, with no
+ * pool hop and no wake-up. Whatever is posted or called while the claim
+ * is held queues behind it; releasing the claim hands that queue to the
+ * pool. So the pool runs only contended hand-offs and post()s.
  *
- * Deadlock note: call() parks the calling thread until a pool worker
- * drains the shard. Callers must not be pool workers themselves (the
- * HTTP layer's workers are HttpServer-owned threads, a disjoint set),
- * otherwise a full pool could wait on itself.
+ * Guarantees:
+ *  - tasks of one shard run in post/call order, never concurrently,
+ *    whether they run inline on a caller or on a pool worker;
+ *  - call() blocks until the task has run and returns its result;
+ *    exceptions propagate to the caller (an inline task that throws
+ *    releases its claim first);
+ *  - drain() and the destructor wait for an inline holder too;
+ *  - on a serial pool (pool.serial() == true) post() runs an idle
+ *    shard's task inline as well, preserving the repo-wide "thread
+ *    count 1 is deterministic and stack-traceable" property.
+ *
+ * Spans: a strand hop records `strand.wait` (enqueue to start) and
+ * `strand.exec` under the caller's span context; an inline call records
+ * the same two spans, the wait with zero length.
+ *
+ * Deadlock note: a call() that finds its shard busy parks the calling
+ * thread until a pool worker drains the shard. Callers must not be pool
+ * workers themselves (the HTTP layer's workers are HttpServer-owned
+ * threads, a disjoint set), otherwise a full pool could wait on itself.
+ * Nor may a task call() into its own shard: the claim it holds is what
+ * the nested call would wait for.
  */
 
 #ifndef HCLOUD_RUNTIME_SHARDED_EXECUTOR_HPP
@@ -46,6 +59,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/span.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace hcloud::runtime {
@@ -76,55 +90,20 @@ class ShardedExecutor
 
     /**
      * Run @p fn on @p shard and return its result; blocks the calling
-     * thread, rethrows anything @p fn throws. Inline on serial pools.
+     * thread, rethrows anything @p fn throws. Runs inline on the caller
+     * when the shard is idle, else queues behind the shard's work.
      */
     template <typename Fn>
     auto call(std::size_t shard, Fn&& fn) -> decltype(fn())
     {
-        using Result = decltype(fn());
-        // No serial-pool fast path: even when submit() is inline, the
-        // queue + `scheduled` flag are what exclude a concurrent caller
-        // on the same shard (multiple HTTP workers share a serial
-        // engine pool on small hosts). post() below still runs the task
-        // on this thread when the pool is serial and the shard idle, so
-        // the single-threaded paths stay stack-traceable.
-        std::mutex m;
-        std::condition_variable cv;
-        bool done = false;
-        std::exception_ptr error;
-        if constexpr (std::is_void_v<Result>) {
-            post(shard, [&] {
-                try {
-                    fn();
-                } catch (...) {
-                    error = std::current_exception();
-                }
-                std::lock_guard<std::mutex> lock(m);
-                done = true;
-                cv.notify_one();
-            });
-            std::unique_lock<std::mutex> lock(m);
-            cv.wait(lock, [&] { return done; });
-            if (error)
-                std::rethrow_exception(error);
-        } else {
-            std::optional<Result> slot;
-            post(shard, [&] {
-                try {
-                    slot.emplace(fn());
-                } catch (...) {
-                    error = std::current_exception();
-                }
-                std::lock_guard<std::mutex> lock(m);
-                done = true;
-                cv.notify_one();
-            });
-            std::unique_lock<std::mutex> lock(m);
-            cv.wait(lock, [&] { return done; });
-            if (error)
-                std::rethrow_exception(error);
-            return std::move(*slot);
+        const std::size_t index = shard % shards_.size();
+        if (claim(index)) {
+            const Claim held(*this, index); // released even if fn throws
+            markInlineWait();
+            const obs::SpanScope exec("strand.exec");
+            return fn();
         }
+        return handOff(index, std::forward<Fn>(fn));
     }
 
     /** Block until every shard's FIFO is empty and no task is running. */
@@ -132,8 +111,9 @@ class ShardedExecutor
 
     /**
      * Tasks currently queued or running on @p shard. Lock-free read of
-     * an atomic maintained by post()/runShard(); /statusz polls this to
-     * make strand backup visible without touching the shard mutexes.
+     * an atomic maintained by post()/call()/runShard(); /statusz polls
+     * this to make strand backup visible without touching the shard
+     * mutexes.
      */
     std::size_t queueDepth(std::size_t shard) const
     {
@@ -152,13 +132,74 @@ class ShardedExecutor
     {
         std::mutex mutex;
         std::deque<Task> queue;
-        bool scheduled = false; ///< a drain job is queued or running
+        /** A drain job is queued or running, or a caller holds the
+         *  shard inline; either way new work queues. */
+        bool scheduled = false;
         std::condition_variable idle;
-        /** Queued + running tasks (inc on post, dec after run). */
+        /** Queued + running tasks (inc on post/claim, dec after run). */
         std::atomic<std::size_t> depth{0};
         /** Tasks completed on this shard. */
         std::atomic<std::uint64_t> executed{0};
     };
+
+    /** Releases an inline claim on scope exit. */
+    class Claim
+    {
+      public:
+        Claim(ShardedExecutor& executor, std::size_t index)
+            : executor_(executor), index_(index)
+        {
+        }
+        ~Claim() { executor_.release(index_); }
+        Claim(const Claim&) = delete;
+        Claim& operator=(const Claim&) = delete;
+
+      private:
+        ShardedExecutor& executor_;
+        std::size_t index_;
+    };
+
+    /** Take an idle shard for the calling thread (false when busy). */
+    bool claim(std::size_t index);
+    /** End an inline claim; work queued behind it goes to the pool. */
+    void release(std::size_t index);
+    /** Zero-length strand.wait span for an inline call (when traced). */
+    static void markInlineWait();
+
+    /** Contended call(): queue @p fn behind the shard's work and park
+     *  until a pool worker has run it. */
+    template <typename Fn>
+    auto handOff(std::size_t index, Fn&& fn) -> decltype(fn())
+    {
+        using Result = decltype(fn());
+        std::mutex m;
+        std::condition_variable cv;
+        bool done = false;
+        std::exception_ptr error;
+        // Result slot; unused (and never engaged) for void tasks.
+        std::optional<std::conditional_t<std::is_void_v<Result>, char,
+                                         Result>>
+            slot;
+        post(index, [&] {
+            try {
+                if constexpr (std::is_void_v<Result>)
+                    fn();
+                else
+                    slot.emplace(fn());
+            } catch (...) {
+                error = std::current_exception();
+            }
+            std::lock_guard<std::mutex> lock(m);
+            done = true;
+            cv.notify_one();
+        });
+        std::unique_lock<std::mutex> lock(m);
+        cv.wait(lock, [&] { return done; });
+        if (error)
+            std::rethrow_exception(error);
+        if constexpr (!std::is_void_v<Result>)
+            return std::move(*slot);
+    }
 
     void runShard(std::size_t index);
 

@@ -205,36 +205,55 @@ ServeApp::stop()
     spans_.flush();
 }
 
+ServeApp::ResponseSeries
+ServeApp::responseSeries(const RequestSummary& summary)
+{
+    const auto key =
+        std::tie(summary.route, summary.method, summary.status);
+    std::lock_guard<std::mutex> lock(responseMutex_);
+    if (const auto it = responseSeries_.find(key);
+        it != responseSeries_.end())
+        return it->second;
+
+    ResponseSeries r;
+    r.seconds = &metrics_.histogram("hcloud_http_request_seconds",
+                                    "Request wall time per route",
+                                    {{"route", summary.route},
+                                     {"method", summary.method}});
+    if (!stageSeries_[0]) {
+        constexpr const char* kStages[] = {"read", "route", "handle",
+                                           "write"};
+        for (std::size_t i = 0; i < stageSeries_.size(); ++i)
+            stageSeries_[i] = &metrics_.histogram(
+                "hcloud_http_stage_seconds",
+                "Request wall time per processing stage",
+                {{"stage", kStages[i]}});
+    }
+    r.stages = stageSeries_;
+    r.responses = &metrics_.counter(
+        "hcloud_http_responses_total", "Responses per route and status",
+        {{"route", summary.route},
+         {"status", std::to_string(summary.status)}});
+    responseSeries_.emplace(key, r);
+    return r;
+}
+
 void
 ServeApp::observeRequest(const RequestSummary& summary)
 {
+    const ResponseSeries series = responseSeries(summary);
     const double totalSec =
         static_cast<double>(summary.stages.totalNs()) / 1e9;
-    metrics_
-        .histogram("hcloud_http_request_seconds",
-                   "Request wall time per route",
-                   {{"route", summary.route},
-                    {"method", summary.method}})
-        .observe(totalSec);
-    const std::pair<const char*, std::uint64_t> stages[] = {
-        {"read", summary.stages.readNs},
-        {"route", summary.stages.routeNs},
-        {"handle", summary.stages.handleNs},
-        {"write", summary.stages.writeNs},
+    series.seconds->observe(totalSec);
+    const std::uint64_t stageNs[] = {
+        summary.stages.readNs,
+        summary.stages.routeNs,
+        summary.stages.handleNs,
+        summary.stages.writeNs,
     };
-    for (const auto& [stage, ns] : stages) {
-        metrics_
-            .histogram("hcloud_http_stage_seconds",
-                       "Request wall time per processing stage",
-                       {{"stage", stage}})
-            .observe(static_cast<double>(ns) / 1e9);
-    }
-    metrics_
-        .counter("hcloud_http_responses_total",
-                 "Responses per route and status",
-                 {{"route", summary.route},
-                  {"status", std::to_string(summary.status)}})
-        .inc();
+    for (std::size_t i = 0; i < series.stages.size(); ++i)
+        series.stages[i]->observe(static_cast<double>(stageNs[i]) / 1e9);
+    series.responses->inc();
     status_.add(summary);
     // Piggyback idle eviction on request traffic (rate-limited inside),
     // so durability needs no dedicated timer thread.
@@ -349,16 +368,16 @@ ServeApp::handleSubmitJob(const HttpRequest& request)
     const workload::JobSpec spec =
         parseJobSpec(parseBody(request.body));
 
-    obs::TimelineSample latest;
-    bool haveLatest = false;
     const SubmitOutcome outcome = sessions_.with(
-        tenant, [&spec, &latest, &haveLatest](EngineSession& s) {
+        tenant, [&spec](EngineSession& s, TenantMetrics& metrics) {
             SubmitOutcome outcome = s.submitJob(spec);
-            haveLatest = s.latestTimelineSample(&latest);
+            if (outcome.status == core::EngineRun::SubmitStatus::Accepted)
+                metrics.countJob(outcome.decisions.size());
+            obs::TimelineSample latest;
+            if (s.latestTimelineSample(&latest))
+                metrics.recordSim(latest);
             return outcome;
         });
-    if (haveLatest)
-        sessions_.recordSimGauges(tenant, latest);
 
     switch (outcome.status) {
       case core::EngineRun::SubmitStatus::Accepted:
@@ -371,9 +390,6 @@ ServeApp::handleSubmitJob(const HttpRequest& request)
                        "job id " + std::to_string(outcome.id) +
                            " already exists"};
     }
-    sessions_.countJob(tenant);
-    sessions_.countDecisions(
-        tenant, static_cast<std::uint64_t>(outcome.decisions.size()));
 
     obs::JsonWriter w;
     w.beginObject();
@@ -401,12 +417,10 @@ ServeApp::handleAdvance(const HttpRequest& request)
         throw ApiError{422, "invalid_field",
                        "field \"to\" must be a finite number >= 0"};
 
-    obs::TimelineSample latest;
-    bool haveLatest = false;
     const std::pair<sim::Time, std::size_t> advanced = sessions_.with(
         tenant,
-        [t = to, maxAdvance = maxAdvance_, &latest,
-         &haveLatest](EngineSession& s) {
+        [t = to, maxAdvance = maxAdvance_](EngineSession& s,
+                                          TenantMetrics& metrics) {
             const sim::Time now = s.now();
             if (t < now)
                 throw ApiError{
@@ -425,17 +439,17 @@ ServeApp::handleAdvance(const HttpRequest& request)
                         "s (--max-advance)"};
             const std::size_t before = s.decisions().size();
             s.advanceTo(t);
-            haveLatest = s.latestTimelineSample(&latest);
-            return std::pair<sim::Time, std::size_t>(
-                s.now(), s.decisions().size() - before);
+            const std::size_t decided = s.decisions().size() - before;
+            metrics.countDecisions(decided);
+            // Live simulation gauges track the newest cluster snapshot,
+            // so a /metrics scrape between advances shows the tenant's
+            // current utilization/quality/cost without touching its
+            // strand.
+            obs::TimelineSample latest;
+            if (s.latestTimelineSample(&latest))
+                metrics.recordSim(latest);
+            return std::pair<sim::Time, std::size_t>(s.now(), decided);
         });
-    sessions_.countDecisions(
-        tenant, static_cast<std::uint64_t>(advanced.second));
-    // Live simulation gauges track the newest cluster snapshot, so a
-    // /metrics scrape between advances shows the tenant's current
-    // utilization/quality/cost without touching its strand.
-    if (haveLatest)
-        sessions_.recordSimGauges(tenant, latest);
 
     obs::JsonWriter w;
     w.beginObject();
@@ -465,8 +479,10 @@ HttpResponse
 ServeApp::handleReport(const HttpRequest& request)
 {
     const std::string& tenant = request.params[0];
-    std::string report = sessions_.with(
-        tenant, [](EngineSession& s) { return s.reportJson(); });
+    std::string report =
+        sessions_.with(tenant, [](EngineSession& s, TenantMetrics&) {
+            return s.reportJson();
+        });
     return HttpResponse::json(200, std::move(report));
 }
 
@@ -485,8 +501,8 @@ ServeApp::handleTimeline(const HttpRequest& request)
         std::uint64_t dropped = 0;
         std::vector<obs::TimelineSample> samples;
     };
-    const View view =
-        sessions_.with(tenant, [since, stride](EngineSession& s) {
+    const View view = sessions_.with(
+        tenant, [since, stride](EngineSession& s, TenantMetrics&) {
             View v;
             v.enabled = s.timeline().enabled();
             v.cadence = s.timeline().config().cadence;

@@ -51,9 +51,14 @@
 #ifndef HCLOUD_SRV_SERVE_APP_HPP
 #define HCLOUD_SRV_SERVE_APP_HPP
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <map>
+#include <mutex>
 #include <string>
+#include <tuple>
 
 #include "obs/process_metrics.hpp"
 #include "obs/span.hpp"
@@ -68,7 +73,9 @@ struct ServeConfig
 {
     /** Session shards (concurrent tenant strands). */
     std::size_t shards = 8;
-    /** Engine thread-pool workers; 0 = defaultThreadCount(). */
+    /** Pool workers for strand work that queued behind a busy tenant
+     *  (an idle tenant's request runs on its HTTP worker);
+     *  0 = defaultThreadCount(). */
     std::size_t threads = 0;
     /** HTTP connection workers. */
     std::size_t httpWorkers = 8;
@@ -135,11 +142,22 @@ class ServeApp
     double slowMs() const { return slowMs_; }
 
   private:
+    /** The series one response updates, resolved on the first response
+     *  with its (route, method, status). */
+    struct ResponseSeries
+    {
+        obs::ProcessHistogram* seconds = nullptr;  ///< {route, method}
+        obs::ProcessCounter* responses = nullptr;  ///< {route, status}
+        std::array<obs::ProcessHistogram*, 4> stages{}; ///< read..write
+    };
+
     void routes();
     /** Transport config wiring spans + the onRequest observer. */
     HttpServerConfig makeServerConfig(const ServeConfig& config);
     /** onRequest sink: histograms, status ring, slow-request log. */
     void observeRequest(const RequestSummary& summary);
+    /** @p summary's series; the registry only on first use. */
+    ResponseSeries responseSeries(const RequestSummary& summary);
     HttpResponse handleCreateTenant(const HttpRequest& request);
     HttpResponse handleListTenants(const HttpRequest& request);
     HttpResponse handleSubmitJob(const HttpRequest& request);
@@ -157,6 +175,14 @@ class ServeApp
     double maxAdvance_ = 0.0;
     double timelineCadence_ = 0.0;
     std::uint64_t startNs_ = 0; ///< construction time, for uptime
+    /** Guards responseSeries_ and stageSeries_. */
+    std::mutex responseMutex_;
+    /** By (route, method, status). */
+    std::map<std::tuple<std::string, std::string, int>, ResponseSeries,
+             std::less<>>
+        responseSeries_;
+    /** hcloud_http_stage_seconds, read..write; set by the first request. */
+    std::array<obs::ProcessHistogram*, 4> stageSeries_{};
     runtime::ThreadPool pool_;
     SessionManager sessions_;
     HttpServer server_; ///< last: its config captures `this`

@@ -55,8 +55,10 @@ usage(const char* argv0)
         "\n"
         "  --port N          listen port (default 8080, 0 = ephemeral)\n"
         "  --shards N        tenant session strands (default 8)\n"
-        "  --threads N       engine worker threads (default: "
-        "HCLOUD_THREADS or hardware)\n"
+        "  --threads N       pool threads for strand work that queued\n"
+        "                    behind a busy tenant; an idle tenant's\n"
+        "                    request runs on its HTTP worker (default:\n"
+        "                    HCLOUD_THREADS or hardware)\n"
         "  --http-workers N  HTTP connection workers (default 8)\n"
         "  --span-trace P    write request spans as JSONL to P\n"
         "                    (default: HCLOUD_SPANS, unset = off)\n"

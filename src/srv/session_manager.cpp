@@ -17,8 +17,8 @@ namespace hcloud::srv {
 namespace {
 
 /**
- * The hcloud_sim_* gauge families recordSimGauges maintains. One table
- * shared with removeSimGauges so a series added here can never be
+ * The hcloud_sim_* gauge families TenantMetrics::recordSim maintains.
+ * One table shared with retireSim so a series added here can never be
  * forgotten by the retirement path (the label-leak tests would catch
  * it regardless).
  */
@@ -28,7 +28,7 @@ struct SimGaugeDef
     const char* help;
 };
 
-constexpr SimGaugeDef kSimGauges[] = {
+constexpr SimGaugeDef kSimGaugeDefs[] = {
     {"hcloud_sim_now", "Tenant virtual clock at the last timeline sample"},
     {"hcloud_sim_instances",
      "Provisioned instances (reserved + on-demand + spot)"},
@@ -43,6 +43,10 @@ constexpr SimGaugeDef kSimGauges[] = {
      "LC jobs in an active QoS-violation streak"},
     {"hcloud_sim_cost_total", "Accumulated provisioning cost (USD)"},
 };
+static_assert(std::size(kSimGaugeDefs) == TenantMetrics::kSimGauges);
+
+constexpr const char* kJobsName = "hcloud_serve_jobs_submitted_total";
+constexpr const char* kDecisionsName = "hcloud_serve_decisions_total";
 
 /** nextSeq_ floor implied by a server-assigned id "t-<n>" (0 if not). */
 std::uint64_t
@@ -56,6 +60,75 @@ assignedSeq(const std::string& id)
 }
 
 } // namespace
+
+TenantMetrics::TenantMetrics(obs::ProcessMetrics& metrics,
+                             std::string tenant)
+    : metrics_(metrics), tenant_(std::move(tenant)),
+      jobs_(&metrics_.counter(kJobsName, "Jobs submitted per tenant",
+                              {{"tenant", tenant_}})),
+      decisions_(&metrics_.counter(
+          kDecisionsName, "Provisioning decisions observed per tenant",
+          {{"tenant", tenant_}}))
+{
+}
+
+void
+TenantMetrics::countJob(std::uint64_t decisions)
+{
+    jobs_->inc();
+    countDecisions(decisions);
+}
+
+void
+TenantMetrics::countDecisions(std::uint64_t n)
+{
+    if (n != 0)
+        decisions_->inc(static_cast<double>(n));
+}
+
+void
+TenantMetrics::recordSim(const obs::TimelineSample& sample)
+{
+    if (!sim_[0]) {
+        for (std::size_t i = 0; i < kSimGauges; ++i)
+            sim_[i] = &metrics_.gauge(kSimGaugeDefs[i].name,
+                                      kSimGaugeDefs[i].help,
+                                      {{"tenant", tenant_}});
+    }
+    const double values[] = {
+        sample.t,
+        static_cast<double>(sample.reservedInstances +
+                            sample.onDemandInstances +
+                            sample.spotInstances),
+        sample.utilization,
+        sample.qualityP50,
+        static_cast<double>(sample.queueLength),
+        static_cast<double>(sample.runningJobs),
+        sample.spotPrice,
+        static_cast<double>(sample.qosTracked),
+        sample.costTotal,
+    };
+    static_assert(std::size(values) == kSimGauges,
+                  "one value per hcloud_sim_* gauge family");
+    for (std::size_t i = 0; i < kSimGauges; ++i)
+        sim_[i]->set(values[i]);
+}
+
+void
+TenantMetrics::retireSim()
+{
+    for (const SimGaugeDef& def : kSimGaugeDefs)
+        metrics_.remove(def.name, {{"tenant", tenant_}});
+    sim_.fill(nullptr);
+}
+
+void
+TenantMetrics::retire()
+{
+    metrics_.remove(kJobsName, {{"tenant", tenant_}});
+    metrics_.remove(kDecisionsName, {{"tenant", tenant_}});
+    retireSim();
+}
 
 SessionManager::SessionManager(runtime::ThreadPool& pool,
                                std::size_t shards, JournalConfig journal,
@@ -188,6 +261,7 @@ SessionManager::create(SessionConfig config)
     };
 
     std::shared_ptr<EngineSession> session;
+    std::unique_ptr<TenantMetrics> metrics;
     try {
         session = std::make_shared<EngineSession>(std::move(config));
         if (journal_.enabled()) {
@@ -200,6 +274,9 @@ SessionManager::create(SessionConfig config)
             journal->appendCreate(session->config());
             session->attachJournal(std::move(journal));
         }
+        // Resolving the per-tenant families here also makes a scrape
+        // show the tenant before its first job.
+        metrics = std::make_unique<TenantMetrics>(metrics_, id);
     } catch (...) {
         rollback();
         throw;
@@ -207,7 +284,9 @@ SessionManager::create(SessionConfig config)
 
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        sessions_[id].session = std::move(session);
+        Entry& entry = sessions_[id];
+        entry.session = std::move(session);
+        entry.metrics = std::move(metrics);
     }
 
     metrics_.gauge("hcloud_serve_sessions", "Live tenant sessions")
@@ -216,51 +295,56 @@ SessionManager::create(SessionConfig config)
         .counter("hcloud_serve_tenants_created_total",
                  "Tenant sessions created since startup")
         .inc();
-    // Touch the per-tenant families at creation so a scrape shows the
-    // tenant even before its first job.
-    metrics_.counter("hcloud_serve_jobs_submitted_total",
-                     "Jobs submitted per tenant", {{"tenant", id}});
-    metrics_.counter("hcloud_serve_decisions_total",
-                     "Provisioning decisions observed per tenant",
-                     {{"tenant", id}});
     return id;
 }
 
 void
 SessionManager::erase(const std::string& id)
 {
-    Entry entry;
+    std::shared_ptr<EngineSession> session;
+    TenantMetrics* metrics = nullptr;
+    std::size_t shard = 0;
+    bool evicted = false;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = sessions_.find(id);
-        if (it == sessions_.end())
+        if (it == sessions_.end() || it->second.deleting)
             throw ApiError{404, "unknown_tenant",
                            "no tenant \"" + id + "\""};
-        if (!it->second.session && !it->second.evicted)
+        Entry& entry = it->second;
+        if (!entry.session && !entry.evicted)
             throw ApiError{409, "tenant_initializing",
                            "tenant \"" + id + "\" is still initializing"};
-        entry = std::move(it->second);
-        sessions_.erase(it);
+        // From here lookups answer 404, while the entry keeps the id
+        // claimed: a create of the same id cannot reuse the journal file
+        // or the series this call is about to remove.
+        entry.deleting = true;
+        session = std::move(entry.session);
+        metrics = entry.metrics.get();
+        shard = entry.shard;
+        evicted = entry.evicted;
         order_.erase(std::find(order_.begin(), order_.end(), id));
-        if (!entry.evicted)
+        if (!evicted)
             --liveCount_;
     }
 
-    // Drain in-flight strand work that already resolved the session
-    // before tearing anything down (stragglers hold the shared_ptr).
-    executor_.call(entry.shard, [] {});
-    entry.session.reset(); // closes (and syncs) the journal fd
+    // Strand barrier: work that resolved the session before it was
+    // marked, metric updates included, finishes before anything is torn
+    // down; later work answers 404.
+    executor_.call(shard, [] {});
+    session.reset(); // closes (and syncs) the journal fd
 
     if (journal_.enabled())
         SessionJournal::removeFile(journal_.dataDir, id);
+    metrics->retire();
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        sessions_.erase(id);
+    }
 
-    if (!entry.evicted)
+    if (!evicted)
         metrics_.gauge("hcloud_serve_sessions", "Live tenant sessions")
             .add(-1.0);
-    metrics_.remove("hcloud_serve_jobs_submitted_total",
-                    {{"tenant", id}});
-    metrics_.remove("hcloud_serve_decisions_total", {{"tenant", id}});
-    removeSimGauges(id);
     deletes_.fetch_add(1, std::memory_order_relaxed);
     metrics_
         .counter("hcloud_serve_deletes_total",
@@ -367,6 +451,7 @@ SessionManager::restoreAll()
         auto journal = std::make_unique<SessionJournal>(
             journal_, id, /*truncate=*/false, metrics_);
         session->attachJournal(std::move(journal));
+        auto metrics = std::make_unique<TenantMetrics>(metrics_, id);
 
         {
             std::lock_guard<std::mutex> lock(mutex_);
@@ -375,6 +460,7 @@ SessionManager::restoreAll()
                 static_cast<std::size_t>(nextSeq_) % executor_.shards();
             entry.lastTouchNs = obs::SpanTracer::nowNs();
             entry.session = std::move(session);
+            entry.metrics = std::move(metrics);
             ++nextSeq_;
             // Keep server-assigned ids collision-free after restart.
             nextSeq_ = std::max(nextSeq_, assignedSeq(id));
@@ -384,11 +470,6 @@ SessionManager::restoreAll()
         }
         metrics_.gauge("hcloud_serve_sessions", "Live tenant sessions")
             .add(1.0);
-        metrics_.counter("hcloud_serve_jobs_submitted_total",
-                         "Jobs submitted per tenant", {{"tenant", id}});
-        metrics_.counter("hcloud_serve_decisions_total",
-                         "Provisioning decisions observed per tenant",
-                         {{"tenant", id}});
         restored_.fetch_add(1, std::memory_order_relaxed);
         metrics_
             .counter("hcloud_serve_restored_total",
@@ -408,27 +489,32 @@ SessionManager::shardOf(const std::string& id)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = sessions_.find(id);
-    if (it == sessions_.end())
+    if (it == sessions_.end() || it->second.deleting)
         throw ApiError{404, "unknown_tenant", "no tenant \"" + id + "\""};
     return it->second.shard;
 }
 
-std::shared_ptr<EngineSession>
-SessionManager::resolve(const std::string& id)
+SessionManager::Resolved
+SessionManager::resolve(const std::string& id, std::size_t shard)
 {
+    TenantMetrics* metrics = nullptr;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = sessions_.find(id);
-        if (it == sessions_.end())
+        // A same-named tenant created after this call was routed may
+        // live on another strand, which must stay the only one to run it.
+        if (it == sessions_.end() || it->second.deleting ||
+            it->second.shard != shard)
             throw ApiError{404, "unknown_tenant",
                            "no tenant \"" + id + "\""};
         if (it->second.session) {
             it->second.lastTouchNs = obs::SpanTracer::nowNs();
-            return it->second.session;
+            return {it->second.session, it->second.metrics.get()};
         }
         if (!it->second.evicted)
             throw ApiError{409, "tenant_initializing",
                            "tenant \"" + id + "\" is still initializing"};
+        metrics = it->second.metrics.get();
     }
 
     // Lazy revival: rebuild from the journal. Only this id's strand
@@ -443,7 +529,8 @@ SessionManager::resolve(const std::string& id)
     {
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = sessions_.find(id);
-        if (it == sessions_.end()) // deleted while reviving
+        // Deleted while reviving.
+        if (it == sessions_.end() || it->second.deleting)
             throw ApiError{404, "unknown_tenant",
                            "no tenant \"" + id + "\""};
         it->second.session = session;
@@ -462,7 +549,7 @@ SessionManager::resolve(const std::string& id)
                               [&](obs::JsonWriter& w) {
                                   w.field("tenant", id);
                               });
-    return session;
+    return {std::move(session), metrics};
 }
 
 std::size_t
@@ -497,30 +584,35 @@ SessionManager::sweepIdle()
         const bool did = executor_.call(c.shard, [this, &c, now,
                                                   thresholdNs] {
             std::shared_ptr<EngineSession> session;
+            TenantMetrics* metrics = nullptr;
             {
                 std::lock_guard<std::mutex> lock(mutex_);
                 auto it = sessions_.find(c.id);
                 // Re-check on the strand: the session may have been
-                // touched, deleted or already evicted since the scan.
+                // touched, deleted (and created again, maybe on another
+                // strand) or already evicted since the scan.
                 if (it == sessions_.end() || !it->second.session ||
-                    it->second.evicted ||
+                    it->second.evicted || it->second.shard != c.shard ||
+                    it->second.lastTouchNs > now ||
                     static_cast<double>(now - it->second.lastTouchNs) <
                         thresholdNs)
                     return false;
                 session = std::move(it->second.session);
+                metrics = it->second.metrics.get();
                 it->second.evicted = true;
                 --liveCount_;
             }
             session.reset(); // syncs + closes the journal
+            // An evicted tenant is no longer simulating; stale gauges
+            // would misread as live state, so its hcloud_sim_* series
+            // retire here, on the strand, and reappear with the first
+            // sample after revival.
+            metrics->retireSim();
             return true;
         });
         if (!did)
             continue;
         ++evicted;
-        // An evicted tenant is no longer simulating; stale gauges would
-        // misread as live state, so its hcloud_sim_* series retire here
-        // and reappear on revival (next sampled advance).
-        removeSimGauges(c.id);
         metrics_.gauge("hcloud_serve_sessions", "Live tenant sessions")
             .add(-1.0);
         evictions_.fetch_add(1, std::memory_order_relaxed);
@@ -553,65 +645,11 @@ SessionManager::maybeSweep()
     sweepIdle();
 }
 
-void
-SessionManager::recordSimGauges(const std::string& id,
-                                const obs::TimelineSample& sample)
-{
-    const double values[] = {
-        sample.t,
-        static_cast<double>(sample.reservedInstances +
-                            sample.onDemandInstances +
-                            sample.spotInstances),
-        sample.utilization,
-        sample.qualityP50,
-        static_cast<double>(sample.queueLength),
-        static_cast<double>(sample.runningJobs),
-        sample.spotPrice,
-        static_cast<double>(sample.qosTracked),
-        sample.costTotal,
-    };
-    static_assert(std::size(values) == std::size(kSimGauges),
-                  "one value per hcloud_sim_* gauge family");
-    for (std::size_t i = 0; i < std::size(kSimGauges); ++i)
-        metrics_
-            .gauge(kSimGauges[i].name, kSimGauges[i].help,
-                   {{"tenant", id}})
-            .set(values[i]);
-}
-
-void
-SessionManager::removeSimGauges(const std::string& id)
-{
-    for (const SimGaugeDef& def : kSimGauges)
-        metrics_.remove(def.name, {{"tenant", id}});
-}
-
-void
-SessionManager::countJob(const std::string& id)
-{
-    metrics_
-        .counter("hcloud_serve_jobs_submitted_total",
-                 "Jobs submitted per tenant", {{"tenant", id}})
-        .inc();
-}
-
-void
-SessionManager::countDecisions(const std::string& id, std::uint64_t n)
-{
-    if (n == 0)
-        return;
-    metrics_
-        .counter("hcloud_serve_decisions_total",
-                 "Provisioning decisions observed per tenant",
-                 {{"tenant", id}})
-        .inc(static_cast<double>(n));
-}
-
 std::size_t
 SessionManager::sessionCount() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return sessions_.size();
+    return order_.size(); // entries being erased are no longer listed
 }
 
 std::size_t

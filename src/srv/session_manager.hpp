@@ -23,7 +23,8 @@
  *    through the ordinary EngineSession path — deterministic replay
  *    makes the restored session byte-identical to the pre-crash one;
  *  - erase: removes the session, its journal file and its per-tenant
- *    metric series (a strand barrier drains in-flight work first);
+ *    metric series (a strand barrier drains in-flight work first; the
+ *    id stays claimed until all three are gone);
  *  - sweepIdle + lazy revival: sessions idle past the threshold drop
  *    their in-memory engine (journal synced first); the next touch
  *    rebuilds them from the journal on their own strand.
@@ -38,12 +39,14 @@
  *     accumulated cost, ...) refreshed from the newest timeline sample
  * so a /metrics scrape shows every tenant as its own series; deletion
  * and idle eviction retire the tenant's series so the page does not
- * leak labels.
+ * leak labels. The series are resolved once into a TenantMetrics owned
+ * by the tenant's entry and updated from the tenant's strand only.
  */
 
 #ifndef HCLOUD_SRV_SESSION_MANAGER_HPP
 #define HCLOUD_SRV_SESSION_MANAGER_HPP
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -74,6 +77,44 @@ struct SessionLimits
     /** Evict sessions idle this long (requires journaling, which
      *  revival depends on). */
     double idleEvictSeconds = 0.0;
+};
+
+/**
+ * One tenant's labelled series, owned by its SessionManager entry. The
+ * job and decision counters are resolved when the entry is created or
+ * restored, the hcloud_sim_* gauges on the first timeline sample after
+ * create or revival. Updates happen only inside the tenant's strand
+ * tasks (SessionManager::with), so a steady-state request pays one
+ * atomic per update and no registry lookup, and erase()'s strand barrier
+ * orders every update before the series retire.
+ */
+class TenantMetrics
+{
+  public:
+    TenantMetrics(obs::ProcessMetrics& metrics, std::string tenant);
+
+    /** One accepted submit and the @p decisions it produced. */
+    void countJob(std::uint64_t decisions);
+    /** @p n decisions observed (no-op for 0). */
+    void countDecisions(std::uint64_t n);
+    /** Refresh the hcloud_sim_* gauges from the newest timeline sample. */
+    void recordSim(const obs::TimelineSample& sample);
+
+    /** Retire the hcloud_sim_* series; the next sample re-creates them. */
+    void retireSim();
+    /** Retire every series of the tenant. */
+    void retire();
+
+    /** Number of hcloud_sim_* gauge families. */
+    static constexpr std::size_t kSimGauges = 9;
+
+  private:
+    obs::ProcessMetrics& metrics_;
+    std::string tenant_;
+    obs::ProcessCounter* jobs_;
+    obs::ProcessCounter* decisions_;
+    /** Null until the first sample after create or revival. */
+    std::array<obs::ProcessGauge*, kSimGauges> sim_{};
 };
 
 /** Owns every tenant session and serializes access per shard. */
@@ -134,37 +175,24 @@ class SessionManager
     std::size_t sweepIdle();
 
     /**
-     * Run @p fn against tenant @p id's session on its shard, blocking
-     * for the result. Whatever @p fn throws propagates to the caller.
-     * An evicted session is revived from its journal first (on the
-     * strand, so revival serializes with everything else).
+     * Run @p fn(session, metrics) against tenant @p id on its shard,
+     * blocking for the result. @p fn updates the tenant's series through
+     * @p metrics. Whatever @p fn throws propagates to the caller. An
+     * evicted session is revived from its journal first (on the strand,
+     * so revival serializes with everything else).
      * @throws ApiError 404 for unknown tenants.
      */
     template <typename Fn>
     auto with(const std::string& id, Fn&& fn)
-        -> decltype(fn(std::declval<EngineSession&>()))
+        -> decltype(fn(std::declval<EngineSession&>(),
+                       std::declval<TenantMetrics&>()))
     {
         const std::size_t shard = shardOf(id); // 404 when absent
-        return executor_.call(shard, [this, &id, &fn] {
-            std::shared_ptr<EngineSession> session = resolve(id);
-            return fn(*session);
+        return executor_.call(shard, [this, &id, shard, &fn] {
+            const Resolved tenant = resolve(id, shard);
+            return fn(*tenant.session, *tenant.metrics);
         });
     }
-
-    /** Count one submitted job for @p id (labeled series). */
-    void countJob(const std::string& id);
-    /** Count @p n observed decisions for @p id (labeled series). */
-    void countDecisions(const std::string& id, std::uint64_t n);
-
-    /**
-     * Refresh tenant @p id's live simulation gauges (the hcloud_sim_*
-     * families, labeled {tenant=id}) from its newest timeline sample.
-     * The daemon calls this after every operation that advances virtual
-     * time; deletion and idle eviction retire the series
-     * (removeSimGauges) so /metrics never leaks labels.
-     */
-    void recordSimGauges(const std::string& id,
-                         const obs::TimelineSample& sample);
 
     std::size_t sessionCount() const;
     /** Sessions currently resident in memory (not evicted). */
@@ -234,21 +262,35 @@ class SessionManager
     struct Entry
     {
         std::shared_ptr<EngineSession> session;
+        /** Set when the session is published (create/restore). */
+        std::unique_ptr<TenantMetrics> metrics;
         std::size_t shard = 0;
         bool evicted = false;
+        /** erase() in progress: lookups answer 404, but the id stays
+         *  claimed until its journal and series are gone. */
+        bool deleting = false;
         /** Last with()/create/revive touch (SpanTracer::nowNs). */
         std::uint64_t lastTouchNs = 0;
+    };
+
+    /** What a strand task works on. */
+    struct Resolved
+    {
+        std::shared_ptr<EngineSession> session;
+        /** Owned by the entry, which outlives every strand task. */
+        TenantMetrics* metrics = nullptr;
     };
 
     /** @throws ApiError 404; the shard of a (possibly evicted) id. */
     std::size_t shardOf(const std::string& id);
 
     /**
-     * Strand-side session lookup: touches the idle clock, revives an
-     * evicted session from its journal. @throws ApiError 404 (deleted
-     * between routing and execution) or 409 (still initializing).
+     * Strand-side session lookup on @p shard: touches the idle clock,
+     * revives an evicted session from its journal. @throws ApiError 404
+     * (deleted between routing and execution, or deleted and created
+     * again on another shard) or 409 (still initializing).
      */
-    std::shared_ptr<EngineSession> resolve(const std::string& id);
+    Resolved resolve(const std::string& id, std::size_t shard);
 
     /** Replay one journal into a fresh session (no journal attached);
      *  throws ApiError on an unreplayable journal. */
@@ -258,9 +300,6 @@ class SessionManager
     /** One flusher pass: fdatasync every live dirty journal. Pins each
      *  session via shared_ptr so fds cannot close underneath it. */
     void flushJournals();
-
-    /** Retire every hcloud_sim_* series labeled {tenant=id}. */
-    void removeSimGauges(const std::string& id);
 
     runtime::ShardedExecutor executor_;
     JournalConfig journal_;

@@ -3,16 +3,19 @@
  * runtime::ShardedExecutor strand semantics: per-shard FIFO ordering,
  * no concurrent execution within a shard, cross-shard parallelism on the
  * shared pool, blocking call() with results and exceptions, inline
- * execution on serial pools, and drain() completeness.
+ * execution of call() on an idle shard (and of everything on serial
+ * pools), and drain() completeness.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -22,12 +25,59 @@
 
 #include <unistd.h>
 
+#include "obs/json.hpp"
 #include "obs/span.hpp"
 #include "runtime/sharded_executor.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace hcloud {
 namespace {
+
+/** A latch a task blocks on until the test opens it. */
+class Gate
+{
+  public:
+    void wait()
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        entered_ = true;
+        cv_.notify_all();
+        cv_.wait(lock, [&] { return open_; });
+    }
+
+    /** Block until some task is inside wait(). */
+    void awaitEntered()
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        cv_.wait(lock, [&] { return entered_; });
+    }
+
+    void open()
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        open_ = true;
+        cv_.notify_all();
+    }
+
+  private:
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    bool entered_ = false;
+    bool open_ = false;
+};
+
+/** Spin (yielding) until @p pred holds; false after ~10 s. */
+template <typename Pred>
+bool
+eventually(Pred pred)
+{
+    for (int i = 0; i < 100'000; ++i) {
+        if (pred())
+            return true;
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    return pred();
+}
 
 TEST(ShardedExecutor, TasksOnOneShardRunInPostOrder)
 {
@@ -319,6 +369,179 @@ TEST(ShardedExecutor, SpanBindingCrossesStrandHop)
     EXPECT_NE(contents.find("\"span\":\"strand.exec\""),
               std::string::npos);
     std::remove(path.c_str());
+}
+
+TEST(ShardedExecutor, CallOnIdleShardRunsOnCallingThread)
+{
+    runtime::ThreadPool pool(4);
+    ASSERT_FALSE(pool.serial());
+    runtime::ShardedExecutor executor(pool, 8);
+    const std::thread::id self = std::this_thread::get_id();
+    std::thread::id taskThread;
+    std::size_t depthInside = 0;
+    const int v = executor.call(3, [&] {
+        taskThread = std::this_thread::get_id();
+        depthInside = executor.queueDepth(3);
+        return 7;
+    });
+    EXPECT_EQ(v, 7);
+    EXPECT_EQ(taskThread, self) << "idle-shard call hopped to the pool";
+    EXPECT_EQ(depthInside, 1u);
+    EXPECT_EQ(executor.queueDepth(3), 0u);
+    EXPECT_EQ(executor.tasksExecuted(), 1u);
+}
+
+TEST(ShardedExecutor, WorkArrivingDuringInlineCallRunsAfterIt)
+{
+    runtime::ThreadPool pool(4);
+    runtime::ShardedExecutor executor(pool, 1);
+    std::mutex orderMutex;
+    std::vector<std::string> order;
+    std::atomic<int> inside{0};
+    std::atomic<int> maxInside{0};
+    auto record = [&](const char* name) {
+        const int now = inside.fetch_add(1) + 1;
+        int seen = maxInside.load();
+        while (now > seen && !maxInside.compare_exchange_weak(seen, now)) {
+        }
+        {
+            std::lock_guard<std::mutex> lock(orderMutex);
+            order.push_back(name);
+        }
+        inside.fetch_sub(1);
+    };
+
+    Gate gate;
+    std::thread::id holderThread;
+    std::thread holder([&] {
+        executor.call(0, [&] {
+            holderThread = std::this_thread::get_id();
+            record("holder");
+            gate.wait();
+        });
+    });
+    gate.awaitEntered();
+    EXPECT_EQ(holderThread, holder.get_id());
+
+    executor.post(0, [&] { record("post1"); });
+    executor.post(0, [&] { record("post2"); });
+    std::thread caller([&] {
+        EXPECT_EQ(executor.call(0,
+                                [&] {
+                                    record("call");
+                                    return 1;
+                                }),
+                  1);
+    });
+    // Holder running + two posts + the call, all queued behind it.
+    EXPECT_TRUE(eventually([&] { return executor.queueDepth(0) == 4u; }));
+    {
+        std::lock_guard<std::mutex> lock(orderMutex);
+        EXPECT_EQ(order, std::vector<std::string>{"holder"})
+            << "work overtook the inline holder";
+    }
+
+    gate.open();
+    holder.join();
+    caller.join();
+    executor.drain();
+    EXPECT_EQ(order, (std::vector<std::string>{"holder", "post1", "post2",
+                                               "call"}));
+    EXPECT_EQ(maxInside.load(), 1) << "two tasks of one shard overlapped";
+    EXPECT_EQ(executor.queueDepth(0), 0u);
+    EXPECT_EQ(executor.tasksExecuted(), 4u);
+}
+
+TEST(ShardedExecutor, InlineThrowReleasesTheShard)
+{
+    runtime::ThreadPool pool(2);
+    runtime::ShardedExecutor executor(pool, 1);
+    EXPECT_THROW(executor.call(0,
+                               []() -> int {
+                                   throw std::runtime_error("inline");
+                               }),
+                 std::runtime_error);
+    EXPECT_EQ(executor.queueDepth(0), 0u);
+    EXPECT_EQ(executor.call(0, [] { return 5; }), 5);
+    std::atomic<bool> posted{false};
+    executor.post(0, [&] { posted = true; });
+    executor.drain();
+    EXPECT_TRUE(posted.load());
+    EXPECT_EQ(executor.queueDepth(0), 0u);
+}
+
+TEST(ShardedExecutor, DrainWaitsForInlineHolder)
+{
+    runtime::ThreadPool pool(2);
+    runtime::ShardedExecutor executor(pool, 2);
+    Gate gate;
+    std::thread holder([&] { executor.call(1, [&] { gate.wait(); }); });
+    gate.awaitEntered();
+
+    std::atomic<bool> drained{false};
+    std::thread drainer([&] {
+        executor.drain();
+        drained = true;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(drained.load()) << "drain() returned under an inline holder";
+    gate.open();
+    holder.join();
+    drainer.join();
+    EXPECT_TRUE(drained.load());
+}
+
+TEST(ShardedExecutor, SpanBindingCoversInlineCall)
+{
+    const std::string path = "/tmp/hcloud_test_executor_inline_spans_" +
+                             std::to_string(::getpid()) + ".jsonl";
+    obs::SpanTracerConfig config;
+    config.sinkPath = path;
+    obs::SpanContext ctx;
+    std::uint64_t execSeen = 0;
+    {
+        obs::SpanTracer tracer(config);
+        ASSERT_TRUE(tracer.enabled());
+        runtime::ThreadPool pool(2);
+        runtime::ShardedExecutor executor(pool, 1);
+        ctx = obs::SpanContext{tracer.newTraceId(), tracer.newSpanId()};
+        {
+            obs::SpanBinding bind(&tracer, ctx);
+            executor.call(0, [&] {
+                // Inside, the current span is strand.exec.
+                EXPECT_EQ(obs::currentSpanContext().trace, ctx.trace);
+                execSeen = obs::currentSpanContext().span;
+            });
+            // The caller's binding is restored afterwards.
+            EXPECT_EQ(obs::currentSpanContext().span, ctx.span);
+        }
+        tracer.flush();
+    }
+
+    // strand.wait (zero length) and strand.exec, both children of the
+    // caller's span.
+    std::ifstream in(path);
+    std::map<std::string, obs::JsonValue> spans;
+    for (std::string line; std::getline(in, line);) {
+        obs::JsonValue v = obs::parseJson(line);
+        if (const obs::JsonValue* name = v.find("span"))
+            spans[name->string] = std::move(v);
+    }
+    std::remove(path.c_str());
+    ASSERT_EQ(spans.count("strand.wait"), 1u);
+    ASSERT_EQ(spans.count("strand.exec"), 1u);
+    for (const char* name : {"strand.wait", "strand.exec"}) {
+        const obs::JsonValue& span = spans[name];
+        EXPECT_EQ(span.find("trace")->numberOr(0.0),
+                  static_cast<double>(ctx.trace))
+            << name;
+        EXPECT_EQ(span.find("parent")->numberOr(0.0),
+                  static_cast<double>(ctx.span))
+            << name;
+    }
+    EXPECT_EQ(spans["strand.wait"].find("durNs")->numberOr(-1.0), 0.0);
+    EXPECT_EQ(spans["strand.exec"].find("id")->numberOr(0.0),
+              static_cast<double>(execSeen));
 }
 
 TEST(ShardedExecutor, NoSpanOverheadWithoutBinding)

@@ -8,11 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -648,6 +652,83 @@ TEST_F(SrvApi, MetricsExposeSimGaugesAndDeleteReclaimsThem)
     // series must not (label leak = unbounded scrape growth).
     EXPECT_EQ(m.body.find("tenant=\"sim\""), std::string::npos)
         << "deleted tenant leaked simulation gauge series";
+}
+
+TEST_F(SrvApi, DeleteRacingSubmitsLeavesNoTenantSeries)
+{
+    // Per-tenant series are updated on the tenant's strand, so a DELETE
+    // racing in-flight submits retires them after the last update. When
+    // the updates ran on the HTTP thread after the strand call, a late
+    // one re-created the deleted tenant's series (97 of 1,000 rounds on
+    // a 4-vCPU host).
+    srv::ServeConfig config;
+    config.shards = 2;
+    config.threads = 2;
+    config.httpWorkers = 4;
+    obs::ProcessMetrics metrics;
+    srv::ServeApp app(config, metrics);
+    ASSERT_TRUE(app.start(0));
+    srv::HttpClient control(app.boundPort());
+    std::vector<std::unique_ptr<srv::HttpClient>> submitters;
+    for (int c = 0; c < 3; ++c)
+        submitters.push_back(
+            std::make_unique<srv::HttpClient>(app.boundPort()));
+
+    constexpr int kRounds = 1000;
+    int leaked = 0;
+    std::string firstLeak;
+    for (int round = 0; round < kRounds; ++round) {
+        const std::string id = std::to_string(round);
+        const srv::ClientResponse created = control.post(
+            "/v1/tenants",
+            "{\"id\":\"" + id +
+                "\",\"strategy\":\"HM\",\"scenario\":{\"kind\":"
+                "\"static\",\"duration\":600,\"loadScale\":0.05},"
+                "\"engine\":{\"seed\":42,\"useProfiling\":false}}");
+        ASSERT_EQ(created.status, 201) << created.body;
+
+        // Arrivals 40 virtual s apart cross the 30 s timeline cadence,
+        // so accepted submits also refresh the hcloud_sim_* gauges.
+        std::atomic<int> nextArrival{0};
+        std::vector<std::thread> threads;
+        for (auto& client : submitters) {
+            threads.emplace_back([&, c = client.get()] {
+                const std::string target = "/v1/tenants/" + id + "/jobs";
+                for (int i = 0; i < 200; ++i) {
+                    const int arrival = 1 + 40 * nextArrival.fetch_add(1);
+                    const srv::ClientResponse r = c->post(
+                        target, "{\"kind\":\"hadoop-svm\",\"arrival\":" +
+                                    std::to_string(arrival) +
+                                    ",\"coresIdeal\":2,"
+                                    "\"idealDuration\":10}");
+                    if (!r.ok || r.status == 404)
+                        return;
+                }
+            });
+        }
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(300 + (round * 7919) % 1200));
+        const srv::ClientResponse deleted =
+            control.del("/v1/tenants/" + id);
+        for (std::thread& t : threads)
+            t.join();
+        ASSERT_EQ(deleted.status, 200) << deleted.body;
+
+        const srv::ClientResponse scrape = control.get("/metrics");
+        ASSERT_TRUE(scrape.ok);
+        const std::size_t at =
+            scrape.body.find("tenant=\"" + id + "\"");
+        if (at != std::string::npos) {
+            if (leaked++ == 0) {
+                const std::size_t line = scrape.body.rfind('\n', at) + 1;
+                firstLeak = scrape.body.substr(
+                    line, scrape.body.find('\n', at) - line);
+            }
+        }
+    }
+    EXPECT_EQ(leaked, 0) << leaked << " of " << kRounds
+                         << " deleted tenants kept series, first: "
+                         << firstLeak;
 }
 
 TEST_F(SrvApi, StatuszRendersSessionsQueuesAndSlowest)

@@ -4,7 +4,8 @@
  * restart recovery (graceful AND SIGKILL of the real daemon binary, both
  * asserted byte-identical against the pre-crash reports), truncated-tail
  * tolerance, idle eviction + lazy revival, tenant deletion (journal file
- * and per-tenant metric series must not leak), and the admission caps
+ * and per-tenant metric series must not leak, and the id stays claimed
+ * until both are gone), and the admission caps
  * (session count + per-tenant journal quota as structured 429s).
  *
  * Every test runs in its own mkdtemp data dir; the SIGKILL test fork/
@@ -17,6 +18,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -563,6 +565,49 @@ TEST_F(SrvJournal, DeleteOfEvictedTenantCleansUpToo)
     EXPECT_EQ(app->sessions().sessionCount(), 0u);
     EXPECT_EQ(app->sessions().liveCount(), 0u);
     EXPECT_FALSE(
+        fileExists(srv::SessionJournal::pathFor(dataDir_, "acme")));
+}
+
+TEST_F(SrvJournal, CreateOfIdStillBeingDeletedIs409)
+{
+    // A DELETE keeps the id claimed until the journal file and the
+    // tenant's series are gone; a create of the same id that slipped in
+    // earlier would have had its fresh journal unlinked.
+    auto app = makeApp(dataDir_);
+    srv::HttpClient client(app->boundPort());
+    driveTenant(client, "acme");
+
+    // Hold acme's strand so the DELETE stops at its strand barrier.
+    std::promise<void> entered;
+    std::promise<void> release;
+    std::thread holder([&] {
+        app->sessions().with(
+            "acme", [&](srv::EngineSession&, srv::TenantMetrics&) {
+                entered.set_value();
+                release.get_future().wait();
+                return 0;
+            });
+    });
+    entered.get_future().wait();
+    std::thread deleter([&] { app->sessions().erase("acme"); });
+    for (int i = 0; i < 10'000 && app->sessions().sessionCount() != 0; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(app->sessions().sessionCount(), 0u);
+
+    srv::ClientResponse r = client.get("/v1/tenants/acme/report");
+    EXPECT_EQ(r.status, 404) << r.body;
+    r = client.post("/v1/tenants", tenantBody("acme"));
+    EXPECT_EQ(r.status, 409) << r.body;
+    EXPECT_EQ(errorCode(r.body), "duplicate_tenant");
+
+    release.set_value();
+    holder.join();
+    deleter.join();
+    EXPECT_FALSE(
+        fileExists(srv::SessionJournal::pathFor(dataDir_, "acme")));
+    r = client.post("/v1/tenants", tenantBody("acme"));
+    ASSERT_EQ(r.status, 201) << r.body;
+    EXPECT_TRUE(
         fileExists(srv::SessionJournal::pathFor(dataDir_, "acme")));
 }
 
