@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "cloud/provider.hpp"
 #include "core/engine.hpp"
@@ -557,6 +558,49 @@ BM_EffectiveQuality(benchmark::State& state)
     }
 }
 BENCHMARK(BM_EffectiveQuality)->Arg(0)->Arg(1)->Arg(2);
+
+/**
+ * One normal draw, as each OU quality process makes when the engine
+ * queries it. Arg(1): one stream. Arg(1024): 1,024 streams drawn
+ * round-robin, as the instances and hosts of a large cluster are, so a
+ * draw rarely finds its stream's state in cache. Every stream draws once
+ * before timing, so no seeding is timed.
+ */
+void
+BM_RngNormal(benchmark::State& state)
+{
+    const sim::Rng root(42);
+    std::vector<sim::Rng> streams;
+    for (std::int64_t i = 0; i < state.range(0); ++i)
+        streams.push_back(root.child(static_cast<std::uint64_t>(i)));
+    for (sim::Rng& stream : streams)
+        benchmark::DoNotOptimize(stream.normal(0.5, 0.05));
+    std::size_t next = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(streams[next].normal(0.5, 0.05));
+        if (++next == streams.size())
+            next = 0;
+    }
+}
+BENCHMARK(BM_RngNormal)->Arg(1)->Arg(1024);
+
+/**
+ * Derive a per-id stream through a labelled intermediate and copy it
+ * without drawing, as the provider builds each instance's and host's
+ * streams, many of which never draw.
+ */
+void
+BM_RngChildUndrawn(benchmark::State& state)
+{
+    const sim::Rng root(42);
+    std::uint64_t id = 0;
+    for (auto _ : state) {
+        const sim::Rng child = root.child("instance").child(id++);
+        sim::Rng copy = child;
+        benchmark::DoNotOptimize(copy);
+    }
+}
+BENCHMARK(BM_RngChildUndrawn);
 
 /** Scenario generation (trace synthesis) at paper scale. */
 void

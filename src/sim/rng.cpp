@@ -1,6 +1,8 @@
 #include "sim/rng.hpp"
 
 #include <cmath>
+#include <limits>
+#include <random>
 #include <vector>
 
 namespace hcloud::sim {
@@ -29,7 +31,53 @@ fnv1a(std::string_view s)
     return h;
 }
 
+/** MT19937-64's new x[k] from x[k], x[k+1] and x[k+m] (indices mod n). */
+constexpr std::uint64_t
+twistWord(std::uint64_t xk, std::uint64_t xk1, std::uint64_t xkm)
+{
+    constexpr std::uint64_t kUpper = ~std::uint64_t{0} << 31;
+    const std::uint64_t y = (xk & kUpper) | (xk1 & ~kUpper);
+    return xkm ^ (y >> 1) ^ (-(y & 1) & 0xb5026f5aa96619e9ULL);
+}
+
 } // namespace
+
+Mt19937_64::Mt19937_64(const Mt19937_64& other) noexcept
+    : seed_(other.seed_), next_(other.next_)
+{
+    if (next_ != kUnseeded)
+        std::copy(other.state_, other.state_ + kStateWords, state_);
+}
+
+Mt19937_64&
+Mt19937_64::operator=(const Mt19937_64& other) noexcept
+{
+    seed_ = other.seed_;
+    next_ = other.next_;
+    if (next_ != kUnseeded && this != &other)
+        std::copy(other.state_, other.state_ + kStateWords, state_);
+    return *this;
+}
+
+void
+Mt19937_64::refill() noexcept
+{
+    constexpr std::size_t n = kStateWords;
+    constexpr std::size_t m = 156;
+    if (next_ == kUnseeded) {
+        state_[0] = seed_;
+        for (std::size_t i = 1; i < n; ++i) {
+            const std::uint64_t x = state_[i - 1];
+            state_[i] = (x ^ (x >> 62)) * 6364136223846793005ULL + i;
+        }
+    }
+    for (std::size_t k = 0; k < n - m; ++k)
+        state_[k] = twistWord(state_[k], state_[k + 1], state_[k + m]);
+    for (std::size_t k = n - m; k < n - 1; ++k)
+        state_[k] = twistWord(state_[k], state_[k + 1], state_[k + m - n]);
+    state_[n - 1] = twistWord(state_[n - 1], state_[0], state_[m - 1]);
+    next_ = 0;
+}
 
 Rng::Rng(std::uint64_t seed)
     : seed_(seed), engine_(splitMix64(seed))
@@ -48,10 +96,15 @@ Rng::child(std::uint64_t key) const
     return Rng(splitMix64(seed_ ^ splitMix64(key ^ 0xa5a5a5a5a5a5a5a5ULL)));
 }
 
+// The draws below repeat libstdc++ 12's arithmetic operation for
+// operation: the std:: distribution each one names returns the same bits
+// over std::mt19937_64 (tests/test_sim_rng.cpp checks every one).
+
 double
 Rng::uniform(double lo, double hi)
 {
-    return std::uniform_real_distribution<double>(lo, hi)(engine_);
+    // std::uniform_real_distribution<double>(lo, hi).
+    return canonical() * (hi - lo) + lo;
 }
 
 std::int64_t
@@ -63,13 +116,23 @@ Rng::uniformInt(std::int64_t lo, std::int64_t hi)
 double
 Rng::normal(double mean, double stddev)
 {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    // A fresh std::normal_distribution<double>(mean, stddev): the polar
+    // method, whose spare deviate x * mult is discarded with the object.
+    for (;;) {
+        const double x = 2.0 * canonical() - 1.0;
+        const double y = 2.0 * canonical() - 1.0;
+        const double r2 = x * x + y * y;
+        if (r2 <= 1.0 && r2 != 0.0)
+            return y * std::sqrt(-2.0 * std::log(r2) / r2) * stddev + mean;
+    }
 }
 
 double
 Rng::lognormal(double mu, double sigma)
 {
-    return std::lognormal_distribution<double>(mu, sigma)(engine_);
+    // std::lognormal_distribution<double>(mu, sigma), whose inner
+    // normal is N(0, 1) scaled as (z * 1 + 0).
+    return std::exp(sigma * normal(0.0, 1.0) + mu);
 }
 
 double
@@ -84,7 +147,8 @@ Rng::lognormalFromQuantiles(double median, double p95)
 double
 Rng::exponential(double mean)
 {
-    return std::exponential_distribution<double>(1.0 / mean)(engine_);
+    // std::exponential_distribution<double>(1 / mean).
+    return -std::log(1.0 - canonical()) / (1.0 / mean);
 }
 
 bool
@@ -94,7 +158,8 @@ Rng::bernoulli(double p)
         return false;
     if (p >= 1.0)
         return true;
-    return std::bernoulli_distribution(p)(engine_);
+    // std::bernoulli_distribution(p).
+    return canonical() < p;
 }
 
 double

@@ -620,8 +620,9 @@ TEST(SweepScheduler, ProgressGaugeSeriesIsReclaimed)
     EXPECT_EQ(pm.seriesCount(), before);
     // The per-title progress gauge is gone from the exposition page.
     for (const obs::ProcessMetrics::FamilySample& family : pm.snapshot()) {
-        if (family.name == "hcloud_sweep_tasks_remaining")
+        if (family.name == "hcloud_sweep_tasks_remaining") {
             EXPECT_TRUE(family.series.empty());
+        }
     }
 }
 
