@@ -46,6 +46,14 @@ groupOf(workload::AppKind kind)
     return kGroupHadoop;
 }
 
+using Clock = std::chrono::steady_clock;
+
+double
+secondsSince(Clock::time_point start)
+{
+    return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
 profiling::QuasarConfig
 makeQuasarConfig(const EngineConfig& config, const sim::Rng& root)
 {
@@ -62,8 +70,7 @@ EngineRun::EngineRun(const EngineConfig& config,
                      const StrategyFactory& factory)
     : config_(config),
       profile_(profile),
-      setupScope_(
-          std::make_unique<obs::PhaseProfiler::Scope>(phases_, "setup")),
+      setupStart_(Clock::now()),
       root_(config_.seed),
       tracer_(config_.trace),
       timeline_(config_.timeline)
@@ -141,12 +148,10 @@ EngineRun::reset(const EngineConfig& config,
     config_ = config;
     profile_ = profile;
 
-    // Fresh phase accumulators, with the setup scope re-opened so the
-    // reset-to-runBatch span lands in "setup" exactly like construction.
-    setupScope_.reset();
-    phases_ = obs::PhaseProfiler{};
-    setupScope_ =
-        std::make_unique<obs::PhaseProfiler::Scope>(phases_, "setup");
+    // Fresh phase seconds, with setup restarted so the reset-to-runBatch
+    // span counts as setup exactly like construction.
+    telemetry_ = RunTelemetry{};
+    setupStart_ = Clock::now();
 
     simulator_.reset(); // keeps the event-queue slab + callback storage
     root_ = sim::Rng(config_.seed);
@@ -511,11 +516,10 @@ EngineRun::runBatch(const workload::ArrivalTrace& trace,
         scheduleArrival(i);
     installTick();
 
-    setupScope_.reset();
-    {
-        obs::PhaseProfiler::Scope sim_scope(phases_, "sim-loop");
-        simulator_.run();
-    }
+    telemetry_.setupSec += secondsSince(setupStart_);
+    const auto loopStart = Clock::now();
+    simulator_.run();
+    telemetry_.simLoopSec += secondsSince(loopStart);
     return finalize(scenarioName);
 }
 
@@ -525,7 +529,7 @@ EngineRun::beginSession(const workload::ArrivalTrace& trace)
     sessionMode_ = true;
     strategy_->start(trace);
     installTick();
-    setupScope_.reset();
+    telemetry_.setupSec += secondsSince(setupStart_);
 }
 
 EngineRun::SubmitStatus
@@ -546,8 +550,9 @@ EngineRun::advanceTo(sim::Time t)
 {
     if (t < simulator_.now())
         return false;
-    obs::PhaseProfiler::Scope sim_scope(phases_, "sim-loop");
+    const auto loopStart = Clock::now();
     simulator_.runUntil(t);
+    telemetry_.simLoopSec += secondsSince(loopStart);
     return true;
 }
 
@@ -614,9 +619,7 @@ EngineRun::liveResult(const std::string& scenarioName)
     RunResult result;
     buildResult(result, scenarioName);
     result.timeline = timeline_.snapshot();
-    result.metricsSnapshot = metrics_->registry().snapshot();
-    result.telemetry.setupSec = phases_.seconds("setup");
-    result.telemetry.simLoopSec = phases_.seconds("sim-loop");
+    result.telemetry = telemetry_;
     result.telemetry.eventsProcessed = simulator_.eventsRun();
     result.telemetry.callbackHeapAllocs = simulator_.callbackHeapAllocs();
     return result;
@@ -625,21 +628,15 @@ EngineRun::liveResult(const std::string& scenarioName)
 RunResult
 EngineRun::finalize(const std::string& scenarioName)
 {
-    const auto finalize_start = obs::PhaseProfiler::Clock::now();
+    const auto finalizeStart = Clock::now();
     RunResult result;
     buildResult(result, scenarioName);
 
     // ---- Observability artifacts ---------------------------------------
     result.trace = tracer_.take();
     result.timeline = timeline_.take();
-    result.metricsSnapshot = metrics_->registry().snapshot();
-    phases_.add("finalize",
-                std::chrono::duration<double>(
-                    obs::PhaseProfiler::Clock::now() - finalize_start)
-                    .count());
-    result.telemetry.setupSec = phases_.seconds("setup");
-    result.telemetry.simLoopSec = phases_.seconds("sim-loop");
-    result.telemetry.finalizeSec = phases_.seconds("finalize");
+    telemetry_.finalizeSec += secondsSince(finalizeStart);
+    result.telemetry = telemetry_;
     result.telemetry.eventsProcessed = simulator_.eventsRun();
     result.telemetry.callbackHeapAllocs = simulator_.callbackHeapAllocs();
     result.telemetry.eventsPerSec = result.telemetry.simLoopSec > 0.0

@@ -31,6 +31,7 @@
 #ifndef HCLOUD_CORE_ENGINE_RUN_HPP
 #define HCLOUD_CORE_ENGINE_RUN_HPP
 
+#include <chrono>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -44,7 +45,6 @@
 #include "core/metrics.hpp"
 #include "core/strategy.hpp"
 #include "core/types.hpp"
-#include "obs/phase_profiler.hpp"
 #include "obs/tracer.hpp"
 #include "profiling/quasar.hpp"
 #include "sim/rng.hpp"
@@ -154,8 +154,9 @@ class EngineRun
 
     /**
      * Non-destructive result snapshot of the session so far: outcomes,
-     * billing, series and the metrics-registry snapshot, but not the
-     * trace buffer (which stays attached for future decisions).
+     * billing, series, counters and the setup and sim-loop seconds, but
+     * not the trace buffer (which stays attached for future decisions)
+     * and no finalize time (nothing was finalized).
      */
     RunResult liveResult(const std::string& scenarioName);
 
@@ -189,9 +190,11 @@ class EngineRun
 
     EngineConfig config_;
     cloud::ProviderProfile profile_;
-    obs::PhaseProfiler phases_;
-    /** Open from construction until the first sim-loop phase begins. */
-    std::unique_ptr<obs::PhaseProfiler::Scope> setupScope_;
+    /** Setup, sim-loop and finalize seconds of the current wiring. */
+    RunTelemetry telemetry_;
+    /** When setup began: construction or reset(). Setup ends when the
+     *  batch run or the session starts. */
+    std::chrono::steady_clock::time_point setupStart_;
     sim::Simulator simulator_;
     sim::Rng root_;
     obs::Tracer tracer_;

@@ -2,19 +2,6 @@
 
 namespace hcloud::core {
 
-MetricsCollector::MetricsCollector()
-    : acquisitions_(&registry_.counter("strategy_acquisitions")),
-      immediateReleases_(
-          &registry_.counter("strategy_immediate_releases")),
-      reschedules_(&registry_.counter("strategy_reschedules")),
-      spotInterruptions_(
-          &registry_.counter("strategy_spot_interruptions")),
-      queuedJobs_(&registry_.counter("strategy_queued_jobs")),
-      spinUpWaits_(&registry_.histogram("strategy_spin_up_wait_sec")),
-      queueWaits_(&registry_.histogram("strategy_queue_wait_sec"))
-{
-}
-
 void
 MetricsCollector::recordOutcome(const workload::Job& job)
 {
@@ -43,16 +30,12 @@ MetricsCollector::recordAllocation(sim::Time t, double reservedCores,
     reservedAllocated_.record(t, reservedCores);
     onDemandAllocated_.record(t, onDemandCores);
     onDemandUsed_.record(t, onDemandUsed);
-    registry_.gauge("cluster_reserved_cores").set(reservedCores);
-    registry_.gauge("cluster_on_demand_cores").set(onDemandCores);
-    registry_.gauge("cluster_on_demand_cores_used").set(onDemandUsed);
 }
 
 void
 MetricsCollector::recordReservedUtilization(sim::Time t, double utilization)
 {
     reservedUtilSeries_.record(t, utilization);
-    registry_.gauge("cluster_reserved_utilization").set(utilization);
 }
 
 void

@@ -6,13 +6,13 @@
 #ifndef HCLOUD_CORE_METRICS_HPP
 #define HCLOUD_CORE_METRICS_HPP
 
+#include <cstddef>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "cloud/billing.hpp"
-#include "obs/metrics_registry.hpp"
-#include "obs/phase_profiler.hpp"
 #include "obs/timeline.hpp"
 #include "obs/tracer.hpp"
 #include "sim/stats.hpp"
@@ -55,16 +55,12 @@ struct InstanceTimeline
 
 /**
  * Collects samples and series during a run; finalized into a RunResult.
- *
- * The simple counters and wait distributions live in an obs registry
- * (cached pointers keep the hot paths a single indirection); the named
- * accessors below stay the API so existing call sites are unaffected.
+ * Strategies count through the named methods below; the counters and
+ * wait distributions are plain members.
  */
 class MetricsCollector
 {
   public:
-    MetricsCollector();
-
     // --- Job outcomes ----------------------------------------------------
     void recordOutcome(const workload::Job& job);
 
@@ -81,14 +77,14 @@ class MetricsCollector
     void recordBreakdown(sim::Time t, const std::string& group,
                          bool reserved, double cores);
 
-    // --- Counters (registry-backed) ---------------------------------------
-    void countAcquisition() { acquisitions_->inc(); }
-    void countImmediateRelease() { immediateReleases_->inc(); }
-    void countReschedule() { reschedules_->inc(); }
-    void countSpotInterruption() { spotInterruptions_->inc(); }
-    void countQueued() { queuedJobs_->inc(); }
-    void recordSpinUpWait(sim::Duration d) { spinUpWaits_->observe(d); }
-    void recordQueueWait(sim::Duration d) { queueWaits_->observe(d); }
+    // --- Counters ---------------------------------------------------------
+    void countAcquisition() { ++acquisitions_; }
+    void countImmediateRelease() { ++immediateReleases_; }
+    void countReschedule() { ++reschedules_; }
+    void countSpotInterruption() { ++spotInterruptions_; }
+    void countQueued() { ++queuedJobs_; }
+    void recordSpinUpWait(sim::Duration d) { spinUpWaits_.add(d); }
+    void recordQueueWait(sim::Duration d) { queueWaits_.add(d); }
 
     // --- Accessors used when building the RunResult ----------------------
     const std::vector<JobOutcome>& outcomes() const { return outcomes_; }
@@ -113,31 +109,15 @@ class MetricsCollector
     {
         return breakdown_;
     }
-    std::size_t acquisitions() const { return acquisitions_->value(); }
-    std::size_t immediateReleases() const
-    {
-        return immediateReleases_->value();
-    }
-    std::size_t reschedules() const { return reschedules_->value(); }
-    std::size_t spotInterruptions() const
-    {
-        return spotInterruptions_->value();
-    }
-    std::size_t queuedJobs() const { return queuedJobs_->value(); }
-    const sim::SampleSet& spinUpWaits() const
-    {
-        return spinUpWaits_->samples();
-    }
-    const sim::SampleSet& queueWaits() const
-    {
-        return queueWaits_->samples();
-    }
-
-    obs::MetricsRegistry& registry() { return registry_; }
-    const obs::MetricsRegistry& registry() const { return registry_; }
+    std::size_t acquisitions() const { return acquisitions_; }
+    std::size_t immediateReleases() const { return immediateReleases_; }
+    std::size_t reschedules() const { return reschedules_; }
+    std::size_t spotInterruptions() const { return spotInterruptions_; }
+    std::size_t queuedJobs() const { return queuedJobs_; }
+    const sim::SampleSet& spinUpWaits() const { return spinUpWaits_; }
+    const sim::SampleSet& queueWaits() const { return queueWaits_; }
 
   private:
-    obs::MetricsRegistry registry_;
     std::vector<JobOutcome> outcomes_;
     sim::StepSeries reservedAllocated_;
     sim::StepSeries onDemandAllocated_;
@@ -145,14 +125,45 @@ class MetricsCollector
     sim::StepSeries reservedUtilSeries_;
     std::map<sim::InstanceId, InstanceTimeline> timelines_;
     std::map<std::string, sim::StepSeries> breakdown_;
-    // Cached registry entries for the hot counting paths.
-    obs::Counter* acquisitions_;
-    obs::Counter* immediateReleases_;
-    obs::Counter* reschedules_;
-    obs::Counter* spotInterruptions_;
-    obs::Counter* queuedJobs_;
-    obs::HistogramMetric* spinUpWaits_;
-    obs::HistogramMetric* queueWaits_;
+    std::size_t acquisitions_ = 0;
+    std::size_t immediateReleases_ = 0;
+    std::size_t reschedules_ = 0;
+    std::size_t spotInterruptions_ = 0;
+    std::size_t queuedJobs_ = 0;
+    sim::SampleSet spinUpWaits_;
+    sim::SampleSet queueWaits_;
+};
+
+/**
+ * Wall-clock profile of one run, surfaced through RunResult and the
+ * sweep scheduler. All durations in seconds.
+ *
+ * Telemetry is *about* the run, not part of the simulated result: it is
+ * serialized into JSON reports but deliberately excluded from the JSONL
+ * event trace and from determinism digests, because wall-clock durations
+ * vary between executions even when the simulation is bit-identical.
+ */
+struct RunTelemetry
+{
+    /** Scenario trace generation paid by this run (0 when it reused a
+     *  cached trace). */
+    double traceGenSec = 0.0;
+    /** Engine setup: provider, strategy, arrival scheduling. */
+    double setupSec = 0.0;
+    /** The discrete-event simulation loop. */
+    double simLoopSec = 0.0;
+    /** Result finalization (aggregation into RunResult). */
+    double finalizeSec = 0.0;
+    /** Simulator events processed by the sim loop. */
+    std::uint64_t eventsProcessed = 0;
+    /** Scheduled callbacks that spilled to the heap (oversized capture).
+     *  Not serialized into reports; tests pin this to zero. */
+    std::uint64_t callbackHeapAllocs = 0;
+    /** eventsProcessed / simLoopSec (0 when the loop was too fast to
+     *  time). */
+    double eventsPerSec = 0.0;
+    /** Worker count of the sweep that produced this run. */
+    std::size_t threads = 1;
 };
 
 /**
@@ -214,10 +225,8 @@ struct RunResult
     /** The timeline cadence the run was configured with (virtual
      *  seconds). */
     sim::Duration timelineCadence = 0.0;
-    /** Snapshot of every registered metric, sorted by name. */
-    obs::MetricsSnapshot metricsSnapshot;
     /** Wall-clock phase profile (excluded from determinism digests). */
-    obs::RunTelemetry telemetry;
+    RunTelemetry telemetry;
 
     /** Mean normalized performance across every job. */
     double meanPerfNorm() const;

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string_view>
 
 #include "obs/timeline.hpp"
 #include "obs/tracer.hpp"
@@ -28,6 +29,48 @@ sampleSetJson(obs::JsonWriter& w, std::string_view name,
     w.field("p95", b.p95);
     w.field("min", samples.min());
     w.field("max", samples.max());
+    w.endObject();
+}
+
+/** A `metrics[]` gauge row: the last point of @p series. Omitted until
+ *  the run has sampled it. */
+void
+gaugeRow(obs::JsonWriter& w, std::string_view name,
+         const sim::StepSeries& series)
+{
+    if (series.empty())
+        return;
+    w.beginObject();
+    w.field("name", name);
+    w.field("kind", "gauge");
+    w.field("value", series.points().back().v);
+    w.endObject();
+}
+
+void
+counterRow(obs::JsonWriter& w, std::string_view name, std::size_t count)
+{
+    w.beginObject();
+    w.field("name", name);
+    w.field("kind", "counter");
+    w.field("value", static_cast<double>(count));
+    w.endObject();
+}
+
+/** A `metrics[]` histogram row: mean and quantiles, all 0 when empty. */
+void
+histogramRow(obs::JsonWriter& w, std::string_view name,
+             const sim::SampleSet& samples)
+{
+    w.beginObject();
+    w.field("name", name);
+    w.field("kind", "histogram");
+    w.field("value", samples.mean());
+    w.field("count", static_cast<std::uint64_t>(samples.count()));
+    w.field("p50", samples.quantile(0.50));
+    w.field("p95", samples.quantile(0.95));
+    w.field("p99", samples.quantile(0.99));
+    w.field("max", samples.quantile(1.0));
     w.endObject();
 }
 
@@ -165,22 +208,21 @@ runResultJson(obs::JsonWriter& w, const core::RunResult& result)
     w.endArray();
     w.endObject();
 
+    // Sorted by name. The counter rows repeat counters{}; schema v4
+    // keeps them.
     w.key("metrics");
     w.beginArray();
-    for (const obs::MetricSample& m : result.metricsSnapshot) {
-        w.beginObject();
-        w.field("name", m.name);
-        w.field("kind", obs::toString(m.kind));
-        w.field("value", m.value);
-        if (m.kind == obs::MetricSample::Kind::Histogram) {
-            w.field("count", static_cast<std::uint64_t>(m.count));
-            w.field("p50", m.p50);
-            w.field("p95", m.p95);
-            w.field("p99", m.p99);
-            w.field("max", m.max);
-        }
-        w.endObject();
-    }
+    gaugeRow(w, "cluster_on_demand_cores", result.onDemandAllocated);
+    gaugeRow(w, "cluster_on_demand_cores_used", result.onDemandUsed);
+    gaugeRow(w, "cluster_reserved_cores", result.reservedAllocated);
+    gaugeRow(w, "cluster_reserved_utilization", result.reservedUtilization);
+    counterRow(w, "strategy_acquisitions", result.acquisitions);
+    counterRow(w, "strategy_immediate_releases", result.immediateReleases);
+    histogramRow(w, "strategy_queue_wait_sec", result.queueWaits);
+    counterRow(w, "strategy_queued_jobs", result.queuedJobs);
+    counterRow(w, "strategy_reschedules", result.reschedules);
+    histogramRow(w, "strategy_spin_up_wait_sec", result.spinUpWaits);
+    counterRow(w, "strategy_spot_interruptions", result.spotInterruptions);
     w.endArray();
 
     w.key("telemetry");

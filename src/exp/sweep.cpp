@@ -15,7 +15,6 @@
 #include "exp/report.hpp"
 #include "core/strategy.hpp"
 #include "obs/json.hpp"
-#include "obs/phase_profiler.hpp"
 #include "obs/process_metrics.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sim/rng.hpp"
@@ -111,12 +110,12 @@ costAwareChunks(const std::vector<double>& weights,
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
 double
-secondsSince(obs::PhaseProfiler::Clock::time_point start)
+secondsSince(Clock::time_point start)
 {
-    return std::chrono::duration<double>(
-               obs::PhaseProfiler::Clock::now() - start)
-        .count();
+    return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
 /** The scenario-generation config of one (cell, seed) task. */
@@ -169,7 +168,7 @@ class TraceCache
         }
         std::lock_guard<std::mutex> lock(entry->mutex);
         if (!entry->ready) {
-            const auto start = obs::PhaseProfiler::Clock::now();
+            const auto start = Clock::now();
             entry->trace = workload::generateScenario(cfg);
             entry->genSec = secondsSince(start);
             entry->ready = true;
@@ -329,7 +328,7 @@ runSweep(const std::vector<SweepCell>& cells,
          const std::vector<std::uint64_t>& seeds, const SweepOptions& options,
          const SweepVisitor& visit)
 {
-    const auto sweepStart = obs::PhaseProfiler::Clock::now();
+    const auto sweepStart = Clock::now();
     const std::uint64_t sweepId = nextSweepId++;
 
     SweepResult result;

@@ -8,16 +8,44 @@ namespace hcloud::obs {
 
 namespace {
 
+bool
+validFirstChar(char c, bool allowColon)
+{
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' ||
+           (allowColon && c == ':');
+}
+
+bool
+validChar(char c, bool allowColon)
+{
+    return validFirstChar(c, allowColon) || (c >= '0' && c <= '9');
+}
+
+std::string
+sanitizeName(std::string_view name, bool allowColon)
+{
+    if (name.empty())
+        return "_";
+    std::string out;
+    out.reserve(name.size() + 1);
+    if (!validFirstChar(name.front(), allowColon) &&
+        validChar(name.front(), allowColon))
+        out += '_'; // leading digit: prefix instead of erasing it
+    for (char c : name)
+        out += validChar(c, allowColon) ? c : '_';
+    return out;
+}
+
 /** Suffix appended when a family name is reused with another kind. */
 const char*
-kindSuffix(MetricSample::Kind kind)
+kindSuffix(MetricKind kind)
 {
     switch (kind) {
-      case MetricSample::Kind::Counter:
+      case MetricKind::Counter:
         return "_counter";
-      case MetricSample::Kind::Gauge:
+      case MetricKind::Gauge:
         return "_gauge";
-      case MetricSample::Kind::Histogram:
+      case MetricKind::Histogram:
         return "_histogram";
     }
     return "_unknown";
@@ -43,6 +71,43 @@ seriesKey(const MetricLabels& labels)
 }
 
 } // namespace
+
+bool
+isValidMetricName(std::string_view name)
+{
+    if (name.empty() || !validFirstChar(name.front(), /*allowColon=*/true))
+        return false;
+    for (char c : name)
+        if (!validChar(c, /*allowColon=*/true))
+            return false;
+    return true;
+}
+
+std::string
+sanitizeMetricName(std::string_view name)
+{
+    return sanitizeName(name, /*allowColon=*/true);
+}
+
+std::string
+sanitizeLabelName(std::string_view name)
+{
+    return sanitizeName(name, /*allowColon=*/false);
+}
+
+const char*
+toString(MetricKind kind)
+{
+    switch (kind) {
+      case MetricKind::Counter:
+        return "counter";
+      case MetricKind::Gauge:
+        return "gauge";
+      case MetricKind::Histogram:
+        return "histogram";
+    }
+    return "?";
+}
 
 std::vector<double>
 defaultHistogramBounds()
@@ -115,7 +180,7 @@ ProcessMetrics::instance()
 ProcessMetrics::Series&
 ProcessMetrics::lookup(std::string_view name, std::string_view help,
                        const MetricLabels& labels,
-                       MetricSample::Kind kind,
+                       MetricKind kind,
                        std::vector<double> bounds)
 {
     std::string family_name = sanitizeMetricName(name);
@@ -137,7 +202,7 @@ ProcessMetrics::lookup(std::string_view name, std::string_view help,
         Family family;
         family.kind = kind;
         family.help = std::string(help);
-        if (kind == MetricSample::Kind::Histogram)
+        if (kind == MetricKind::Histogram)
             family.bounds = bounds.empty() ? defaultHistogramBounds()
                                            : std::move(bounds);
         it = families_.emplace(std::move(family_name), std::move(family))
@@ -152,7 +217,7 @@ ProcessMetrics::lookup(std::string_view name, std::string_view help,
     if (sit == family.series.end()) {
         auto series = std::make_unique<Series>();
         series->labels = std::move(sorted);
-        if (kind == MetricSample::Kind::Histogram)
+        if (kind == MetricKind::Histogram)
             series->histogram =
                 std::make_unique<ProcessHistogram>(family.bounds);
         sit = family.series.emplace(key, std::move(series)).first;
@@ -164,7 +229,7 @@ ProcessCounter&
 ProcessMetrics::counter(std::string_view name, std::string_view help,
                         const MetricLabels& labels)
 {
-    return lookup(name, help, labels, MetricSample::Kind::Counter, {})
+    return lookup(name, help, labels, MetricKind::Counter, {})
         .counter;
 }
 
@@ -172,7 +237,7 @@ ProcessGauge&
 ProcessMetrics::gauge(std::string_view name, std::string_view help,
                       const MetricLabels& labels)
 {
-    return lookup(name, help, labels, MetricSample::Kind::Gauge, {}).gauge;
+    return lookup(name, help, labels, MetricKind::Gauge, {}).gauge;
 }
 
 ProcessHistogram&
@@ -180,7 +245,7 @@ ProcessMetrics::histogram(std::string_view name, std::string_view help,
                           const MetricLabels& labels,
                           std::vector<double> bounds)
 {
-    return *lookup(name, help, labels, MetricSample::Kind::Histogram,
+    return *lookup(name, help, labels, MetricKind::Histogram,
                    std::move(bounds))
                 .histogram;
 }
@@ -203,13 +268,13 @@ ProcessMetrics::snapshot() const
             SeriesSample ss;
             ss.labels = series->labels;
             switch (family.kind) {
-              case MetricSample::Kind::Counter:
+              case MetricKind::Counter:
                 ss.value = series->counter.value();
                 break;
-              case MetricSample::Kind::Gauge:
+              case MetricKind::Gauge:
                 ss.value = series->gauge.value();
                 break;
-              case MetricSample::Kind::Histogram:
+              case MetricKind::Histogram:
                 ss.histogram = series->histogram->snapshot();
                 break;
             }

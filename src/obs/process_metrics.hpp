@@ -2,11 +2,11 @@
  * @file
  * ProcessMetrics: thread-safe, process-wide metrics registry.
  *
- * The per-run obs::MetricsRegistry is deliberately single-threaded and
- * scoped to one engine run; ProcessMetrics is its process-lifetime
- * counterpart, built so long sweeps can be watched while they run
- * (served over HTTP by srv::metricsResponse in Prometheus text
- * exposition, rendered by obs/prom_text):
+ * The one metrics registry in the tree. A single run's counts are plain
+ * fields of core::RunResult, filled by core::MetricsCollector; this
+ * registry lives for the process, built so long sweeps can be watched
+ * while they run (served over HTTP by srv::metricsResponse in
+ * Prometheus text exposition, rendered by obs/prom_text):
  *
  *  - counters and gauges are lock-free atomics (CAS-add doubles, so
  *    fractional quantities such as seconds accumulate exactly like
@@ -40,9 +40,31 @@
 #include <utility>
 #include <vector>
 
-#include "obs/metrics_registry.hpp"
-
 namespace hcloud::obs {
+
+/** True when @p name matches Prometheus `[a-zA-Z_:][a-zA-Z0-9_:]*`. */
+bool isValidMetricName(std::string_view name);
+
+/**
+ * Deterministic Prometheus-legal form of @p name: illegal characters
+ * become '_', a leading digit gains a '_' prefix, and the empty name
+ * becomes "_". Valid names pass through unchanged.
+ */
+std::string sanitizeMetricName(std::string_view name);
+
+/** Like sanitizeMetricName but for label names (colons are illegal). */
+std::string sanitizeLabelName(std::string_view name);
+
+/** Kind of a metric family, fixed by its first lookup. */
+enum class MetricKind
+{
+    Counter,
+    Gauge,
+    Histogram,
+};
+
+/** The Prometheus TYPE of @p kind: "counter", "gauge" or "histogram". */
+const char* toString(MetricKind kind);
 
 /** Label set of one series: (name, value) pairs, sorted on lookup. */
 using MetricLabels = std::vector<std::pair<std::string, std::string>>;
@@ -183,7 +205,7 @@ class ProcessMetrics
     {
         std::string name;
         std::string help;
-        MetricSample::Kind kind = MetricSample::Kind::Counter;
+        MetricKind kind = MetricKind::Counter;
         /** Histogram upper bounds (empty otherwise). */
         std::vector<double> bounds;
         std::vector<SeriesSample> series;
@@ -218,7 +240,7 @@ class ProcessMetrics
 
     struct Family
     {
-        MetricSample::Kind kind = MetricSample::Kind::Counter;
+        MetricKind kind = MetricKind::Counter;
         std::string help;
         std::vector<double> bounds;
         std::map<std::string, std::unique_ptr<Series>, std::less<>>
@@ -226,7 +248,7 @@ class ProcessMetrics
     };
 
     Series& lookup(std::string_view name, std::string_view help,
-                   const MetricLabels& labels, MetricSample::Kind kind,
+                   const MetricLabels& labels, MetricKind kind,
                    std::vector<double> bounds);
 
     mutable std::mutex mutex_;

@@ -143,7 +143,7 @@ renderPromText(const std::vector<ProcessMetrics::FamilySample>& families)
         out += toString(family.kind);
         out += '\n';
         for (const ProcessMetrics::SeriesSample& series : family.series) {
-            if (family.kind == MetricSample::Kind::Histogram)
+            if (family.kind == MetricKind::Histogram)
                 appendHistogram(out, family, series);
             else
                 appendSeries(out, family.name, series.labels, {},

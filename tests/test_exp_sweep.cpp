@@ -293,6 +293,44 @@ TEST(EngineRunReset, BackToBackResetsStayIdentical)
     }
 }
 
+// The engine times its own phases: setup from construction (or reset) to
+// the session start, the sim loop across every advanceTo, and finalize
+// only in finalize(), so a live result never carries a finalize time.
+TEST(EngineRunTelemetry, SessionPhasesAccumulate)
+{
+    const cloud::ProviderProfile profile = cloud::ProviderProfile::gce();
+    const workload::ArrivalTrace trace = workload::generateScenario(
+        tinyScenario(workload::ScenarioKind::Static, 11));
+    core::EngineConfig cfg;
+    cfg.seed = 11;
+    cfg.useProfiling = false;
+    const auto factory = factoryFor(core::StrategyKind::HM);
+
+    core::EngineRun engine(cfg, profile, factory);
+    engine.beginSession(trace);
+    const core::RunResult started = engine.liveResult("s");
+    EXPECT_GT(started.telemetry.setupSec, 0.0);
+    EXPECT_EQ(started.telemetry.simLoopSec, 0.0);
+    EXPECT_EQ(started.telemetry.finalizeSec, 0.0);
+
+    double loop = 0.0;
+    for (double t : {60.0, 120.0, 180.0}) {
+        ASSERT_TRUE(engine.advanceTo(t));
+        const core::RunResult live = engine.liveResult("s");
+        EXPECT_GE(live.telemetry.simLoopSec, loop) << "t=" << t;
+        EXPECT_EQ(live.telemetry.finalizeSec, 0.0) << "t=" << t;
+        EXPECT_EQ(live.telemetry.setupSec, started.telemetry.setupSec);
+        loop = live.telemetry.simLoopSec;
+    }
+    EXPECT_GT(loop, 0.0);
+
+    engine.reset(cfg, profile, factory);
+    engine.beginSession(trace);
+    const core::RunResult restarted = engine.liveResult("s");
+    EXPECT_EQ(restarted.telemetry.simLoopSec, 0.0);
+    EXPECT_EQ(restarted.telemetry.finalizeSec, 0.0);
+}
+
 // reset() keeps the bootstrapped classifier when the classifier config is
 // unchanged; its trained state must be indistinguishable from a fresh
 // bootstrap, or reused engines would classify differently than fresh ones.

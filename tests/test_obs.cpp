@@ -1,8 +1,8 @@
 /**
  * @file
  * Observability layer: tracer semantics (ring bound, filters, disabled
- * no-op), JSON/JSONL round-trips, decision-reason coverage, metrics
- * registry, and the tentpole determinism contract — the traced event
+ * no-op), JSON/JSONL round-trips, decision-reason coverage, the report's
+ * metrics rows, and the tentpole determinism contract — the traced event
  * stream must serialize byte-identically at any runner thread count.
  */
 
@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -28,8 +29,6 @@
 #include "exp/report_json.hpp"
 #include "exp/runner.hpp"
 #include "obs/json.hpp"
-#include "obs/metrics_registry.hpp"
-#include "obs/phase_profiler.hpp"
 #include "obs/timeline.hpp"
 #include "obs/tracer.hpp"
 #include "workload/scenario.hpp"
@@ -425,87 +424,6 @@ TYPED_TEST(RecorderSinkFailure, FailedSinkAccountsForEveryRecord)
 }
 
 // ---------------------------------------------------------------------------
-// Metrics registry
-
-TEST(ObsMetricsRegistry, StableRefsAndSortedSnapshot)
-{
-    obs::MetricsRegistry registry;
-    obs::Counter& c = registry.counter("b.count");
-    c.inc();
-    c.inc(3);
-    EXPECT_EQ(&registry.counter("b.count"), &c);
-    registry.gauge("a.gauge").set(0.5);
-    obs::HistogramMetric& h = registry.histogram("c.hist");
-    for (double v : {1.0, 2.0, 3.0, 4.0})
-        h.observe(v);
-
-    const obs::MetricsSnapshot snapshot = registry.snapshot();
-    ASSERT_EQ(snapshot.size(), 3u);
-    // Dotted registry names sanitize to Prometheus-legal underscores so
-    // per-run snapshots fold into the process registry unchanged.
-    EXPECT_EQ(snapshot[0].name, "a_gauge");
-    EXPECT_EQ(snapshot[0].value, 0.5);
-    EXPECT_EQ(snapshot[1].name, "b_count");
-    EXPECT_EQ(snapshot[1].value, 4.0);
-    EXPECT_EQ(snapshot[2].name, "c_hist");
-    EXPECT_EQ(snapshot[2].count, 4u);
-    EXPECT_EQ(snapshot[2].max, 4.0);
-    EXPECT_EQ(snapshot[2].kind, obs::MetricSample::Kind::Histogram);
-}
-
-TEST(ObsMetricsRegistry, SanitizesNamesAndRejectsNothingSilently)
-{
-    obs::MetricsRegistry registry;
-    // Dotted and illegal-charactered names collapse deterministically to
-    // the same sanitized series.
-    obs::Counter& dotted = registry.counter("queue.wait-sec");
-    EXPECT_EQ(&registry.counter("queue_wait_sec"), &dotted);
-    // Empty and digit-leading names become legal instead of UB.
-    registry.gauge("").set(1.0);
-    registry.gauge("9lives").set(2.0);
-    dotted.inc();
-
-    const obs::MetricsSnapshot snapshot = registry.snapshot();
-    ASSERT_EQ(snapshot.size(), 3u);
-    EXPECT_EQ(snapshot[0].name, "_");
-    EXPECT_EQ(snapshot[1].name, "_9lives");
-    EXPECT_EQ(snapshot[2].name, "queue_wait_sec");
-    for (const obs::MetricSample& m : snapshot)
-        EXPECT_TRUE(obs::isValidMetricName(m.name)) << m.name;
-}
-
-TEST(ObsMetricsRegistry, HistogramSnapshotReportsOrderedQuantiles)
-{
-    obs::MetricsRegistry registry;
-    obs::HistogramMetric& h = registry.histogram("lat");
-    for (int i = 1; i <= 1000; ++i)
-        h.observe(static_cast<double>(i));
-    const obs::MetricsSnapshot snapshot = registry.snapshot();
-    ASSERT_EQ(snapshot.size(), 1u);
-    const obs::MetricSample& m = snapshot[0];
-    EXPECT_GT(m.p99, 0.0);
-    EXPECT_LE(m.p50, m.p95);
-    EXPECT_LE(m.p95, m.p99);
-    EXPECT_LE(m.p99, m.max);
-}
-
-TEST(ObsPhaseProfiler, ScopesAccumulate)
-{
-    obs::PhaseProfiler phases;
-    {
-        obs::PhaseProfiler::Scope scope(phases, "sim-loop");
-    }
-    {
-        obs::PhaseProfiler::Scope scope(phases, "sim-loop");
-    }
-    phases.add("finalize", 0.25);
-    EXPECT_GE(phases.seconds("sim-loop"), 0.0);
-    EXPECT_EQ(phases.seconds("finalize"), 0.25);
-    EXPECT_EQ(phases.seconds("absent"), 0.0);
-    EXPECT_EQ(phases.phases().size(), 2u);
-}
-
-// ---------------------------------------------------------------------------
 // Decision-reason coverage of the dynamic mapping policy
 
 TEST(ObsDecisions, DynamicPolicyReportsEveryBranchReason)
@@ -631,15 +549,67 @@ TEST(ObsEngineTrace, EventStreamAgreesWithRunCounters)
         }
     }
 
-    // The registry snapshot mirrors the flat counters.
-    bool saw_acquisitions = false;
-    for (const obs::MetricSample& m : r.metricsSnapshot) {
-        if (m.name == "strategy_acquisitions") {
-            saw_acquisitions = true;
-            EXPECT_EQ(m.value, static_cast<double>(r.acquisitions));
-        }
+    // Each report metrics[] row is the run field it comes from, in name
+    // order: a gauge is its series' last point, a counter its counters{}
+    // entry, a histogram its sample set.
+    obs::JsonWriter w;
+    exp::runResultJson(w, r);
+    const obs::JsonValue report = obs::parseJson(w.str());
+    const obs::JsonValue* counters = report.find("counters");
+    const obs::JsonValue* metrics = report.find("metrics");
+    ASSERT_NE(counters, nullptr);
+    ASSERT_NE(metrics, nullptr);
+    const auto gauge = [](const sim::StepSeries& series) {
+        return series.points().back().v;
+    };
+    const auto counter = [&](const char* name, std::size_t value) {
+        EXPECT_EQ(counters->find(name)->number,
+                  static_cast<double>(value));
+        return static_cast<double>(value);
+    };
+    struct Row
+    {
+        const char* name;
+        const char* kind;
+        double value;
+        const sim::SampleSet* samples = nullptr;
+    };
+    const Row rows[] = {
+        {"cluster_on_demand_cores", "gauge", gauge(r.onDemandAllocated)},
+        {"cluster_on_demand_cores_used", "gauge", gauge(r.onDemandUsed)},
+        {"cluster_reserved_cores", "gauge", gauge(r.reservedAllocated)},
+        {"cluster_reserved_utilization", "gauge",
+         gauge(r.reservedUtilization)},
+        {"strategy_acquisitions", "counter",
+         counter("acquisitions", r.acquisitions)},
+        {"strategy_immediate_releases", "counter",
+         counter("immediate_releases", r.immediateReleases)},
+        {"strategy_queue_wait_sec", "histogram", r.queueWaits.mean(),
+         &r.queueWaits},
+        {"strategy_queued_jobs", "counter",
+         counter("queued_jobs", r.queuedJobs)},
+        {"strategy_reschedules", "counter",
+         counter("reschedules", r.reschedules)},
+        {"strategy_spin_up_wait_sec", "histogram", r.spinUpWaits.mean(),
+         &r.spinUpWaits},
+        {"strategy_spot_interruptions", "counter",
+         counter("spot_interruptions", r.spotInterruptions)},
+    };
+    ASSERT_EQ(metrics->array.size(), std::size(rows));
+    ASSERT_FALSE(r.spinUpWaits.empty());
+    for (std::size_t i = 0; i < std::size(rows); ++i) {
+        const Row& want = rows[i];
+        const obs::JsonValue& row = metrics->array[i];
+        SCOPED_TRACE(want.name);
+        EXPECT_EQ(row.find("name")->string, want.name);
+        EXPECT_EQ(row.find("kind")->string, want.kind);
+        EXPECT_EQ(row.find("value")->number, want.value);
+        if (want.samples == nullptr)
+            continue;
+        EXPECT_EQ(row.find("count")->number,
+                  static_cast<double>(want.samples->count()));
+        EXPECT_EQ(row.find("max")->number, want.samples->max());
     }
-    EXPECT_TRUE(saw_acquisitions);
 
     // Telemetry: the run did measurable work.
     EXPECT_GT(r.telemetry.simLoopSec, 0.0);

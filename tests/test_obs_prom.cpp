@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -64,12 +65,25 @@ TEST(ProcessMetrics, LabelSetsSeparateSeriesAndOrderDoesNotMatter)
 TEST(ProcessMetrics, NamesAreSanitizedOnLookup)
 {
     obs::ProcessMetrics pm;
+    // Dotted and illegal-charactered names collapse deterministically to
+    // the same sanitized series.
     obs::ProcessCounter& dotted = pm.counter("queue.wait-sec");
     EXPECT_EQ(&pm.counter("queue_wait_sec"), &dotted);
+    // Empty and digit-leading names become legal.
     pm.gauge("9lives").set(1.0);
     pm.gauge("").set(2.0);
+    // Label names may not hold a colon, though metric names may.
+    pm.gauge("labeled", "", {{"a:b", "v"}}).set(3.0);
 
     const auto families = pm.snapshot();
+    ASSERT_EQ(families.size(), 4u);
+    EXPECT_EQ(families[0].name, "_");
+    EXPECT_EQ(families[1].name, "_9lives");
+    EXPECT_EQ(families[2].name, "labeled");
+    EXPECT_EQ(families[3].name, "queue_wait_sec");
+    ASSERT_EQ(families[2].series.size(), 1u);
+    const obs::MetricLabels expected = {{"a_b", "v"}};
+    EXPECT_EQ(families[2].series[0].labels, expected);
     for (const auto& f : families)
         EXPECT_TRUE(obs::isValidMetricName(f.name)) << f.name;
 }
@@ -128,6 +142,64 @@ TEST(ProcessMetrics, ConcurrentCounterIncrementsAreLossless)
         t.join();
     EXPECT_DOUBLE_EQ(c.value(),
                      static_cast<double>(kThreads) * kPerThread);
+}
+
+// ProcessMetrics is the one metrics registry: it keeps references stable
+// and snapshots every kind in sanitized-name order.
+TEST(ObsMetricsRegistry, StableRefsAndSortedSnapshot)
+{
+    obs::ProcessMetrics registry;
+    obs::ProcessCounter& c = registry.counter("b.count");
+    c.inc();
+    c.inc(3);
+    EXPECT_EQ(&registry.counter("b.count"), &c);
+    registry.gauge("a.gauge").set(0.5);
+    obs::ProcessHistogram& h =
+        registry.histogram("c.hist", "", {}, {1.0, 2.0, 4.0});
+    EXPECT_EQ(&registry.histogram("c.hist"), &h);
+    for (double v : {1.0, 2.0, 3.0, 4.0})
+        h.observe(v);
+
+    const auto snapshot = registry.snapshot();
+    ASSERT_EQ(snapshot.size(), 3u);
+    for (const auto& family : snapshot)
+        ASSERT_EQ(family.series.size(), 1u) << family.name;
+    EXPECT_EQ(snapshot[0].name, "a_gauge");
+    EXPECT_EQ(snapshot[0].kind, obs::MetricKind::Gauge);
+    EXPECT_EQ(snapshot[0].series[0].value, 0.5);
+    EXPECT_EQ(snapshot[1].name, "b_count");
+    EXPECT_EQ(snapshot[1].kind, obs::MetricKind::Counter);
+    EXPECT_EQ(snapshot[1].series[0].value, 4.0);
+    EXPECT_EQ(snapshot[2].name, "c_hist");
+    EXPECT_EQ(snapshot[2].kind, obs::MetricKind::Histogram);
+    EXPECT_STREQ(obs::toString(snapshot[2].kind), "histogram");
+    const obs::HistogramSnapshot& hist = snapshot[2].series[0].histogram;
+    EXPECT_EQ(hist.count, 4u);
+    EXPECT_EQ(hist.sum, 10.0);
+    const std::vector<std::uint64_t> buckets = {1, 1, 2, 0};
+    EXPECT_EQ(hist.bucketCounts, buckets);
+}
+
+// The sanitizers map every input, however malformed, to a legal name
+// rather than dropping it.
+TEST(ObsMetricsRegistry, SanitizesNamesAndRejectsNothingSilently)
+{
+    EXPECT_EQ(obs::sanitizeMetricName("queue.wait-sec"), "queue_wait_sec");
+    EXPECT_EQ(obs::sanitizeMetricName(""), "_");
+    EXPECT_EQ(obs::sanitizeMetricName("9lives"), "_9lives");
+    // Valid names pass through; colons are legal only in metric names.
+    EXPECT_EQ(obs::sanitizeMetricName("ns:a_b"), "ns:a_b");
+    EXPECT_EQ(obs::sanitizeLabelName("a:b"), "a_b");
+    EXPECT_EQ(obs::sanitizeLabelName("9lives"), "_9lives");
+
+    for (const char* raw :
+         {"", "9lives", "queue.wait-sec", "a b", "\xc3\xa9"}) {
+        EXPECT_FALSE(obs::isValidMetricName(raw)) << raw;
+        EXPECT_TRUE(obs::isValidMetricName(obs::sanitizeMetricName(raw)))
+            << raw;
+        EXPECT_TRUE(obs::isValidMetricName(obs::sanitizeLabelName(raw)))
+            << raw;
+    }
 }
 
 // ---------------------------------------------------------------------------

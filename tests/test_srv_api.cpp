@@ -17,6 +17,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -134,6 +135,51 @@ TEST_F(SrvApi, TenantJobAdvanceReportRoundTrip)
     EXPECT_EQ(listStatus, 200);
     ASSERT_EQ(listJson.find("tenants")->array.size(), 1u);
     EXPECT_EQ(listJson.find("tenants")->array[0].string, "acme");
+}
+
+TEST_F(SrvApi, ReportMetricsRowsAppearOnceTheRunSamples)
+{
+    createTenant("rows");
+    // (name, kind) of every run.metrics[] row, in report order.
+    const auto rows = [this] {
+        auto [status, json] = get("/v1/tenants/rows/report");
+        EXPECT_EQ(status, 200);
+        std::vector<std::pair<std::string, std::string>> out;
+        const obs::JsonValue* run = json.find("run");
+        const obs::JsonValue* metrics = run ? run->find("metrics") : nullptr;
+        if (metrics == nullptr) {
+            ADD_FAILURE() << "report has no run.metrics";
+            return out;
+        }
+        for (const obs::JsonValue& m : metrics->array)
+            out.emplace_back(m.find("name")->string, m.find("kind")->string);
+        return out;
+    };
+    using Rows = std::vector<std::pair<std::string, std::string>>;
+    const Rows strategyRows = {
+        {"strategy_acquisitions", "counter"},
+        {"strategy_immediate_releases", "counter"},
+        {"strategy_queue_wait_sec", "histogram"},
+        {"strategy_queued_jobs", "counter"},
+        {"strategy_reschedules", "counter"},
+        {"strategy_spin_up_wait_sec", "histogram"},
+        {"strategy_spot_interruptions", "counter"},
+    };
+    // A fresh tenant has not ticked, so no cluster gauge has a value yet.
+    EXPECT_EQ(rows(), strategyRows);
+
+    auto [advStatus, advJson] =
+        post("/v1/tenants/rows/advance", "{\"to\":10}");
+    EXPECT_EQ(advStatus, 200);
+    // Past the first tick the four cluster gauges lead, in name order.
+    Rows allRows = {
+        {"cluster_on_demand_cores", "gauge"},
+        {"cluster_on_demand_cores_used", "gauge"},
+        {"cluster_reserved_cores", "gauge"},
+        {"cluster_reserved_utilization", "gauge"},
+    };
+    allRows.insert(allRows.end(), strategyRows.begin(), strategyRows.end());
+    EXPECT_EQ(rows(), allRows);
 }
 
 TEST_F(SrvApi, AutoAssignedTenantAndJobIds)

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -342,7 +343,10 @@ TEST(ServeDeterminism, HttpTimelineJsonlMatchesBatchRunner)
  * Four tenants hammered from four client threads. Submissions must all
  * land (no lost updates, no 5xx, no crash); concurrent cross-tenant
  * report and /metrics reads race against the writers through the shard
- * strands. This is the test CI runs under ThreadSanitizer.
+ * strands. Every create finishes before any thread submits, so no read
+ * can meet a tenant whose engine is still being built (that read would
+ * rightly get 409 tenant_initializing). This is the test CI runs under
+ * ThreadSanitizer.
  */
 TEST(ServeConcurrency, FourTenantsFourClientThreads)
 {
@@ -357,11 +361,14 @@ TEST(ServeConcurrency, FourTenantsFourClientThreads)
     constexpr int kThreads = 4;
     constexpr int kJobs = 40;
     std::atomic<int> failures{0};
+    // Counted down by every create, failed or not, so no thread waits
+    // forever on a tenant that will never exist.
+    std::latch created(kThreads);
 
     std::vector<std::thread> clients;
     clients.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
-        clients.emplace_back([&app, &failures, t] {
+        clients.emplace_back([&app, &failures, &created, t] {
             srv::HttpClient client(app.boundPort());
             const std::string id = "load-" + std::to_string(t);
 
@@ -373,13 +380,15 @@ TEST(ServeConcurrency, FourTenantsFourClientThreads)
             core::EngineConfig engine;
             engine.seed = 7 + static_cast<std::uint64_t>(t);
             engine.useProfiling = false;
-            const auto created = client.post(
+            const auto create = client.post(
                 "/v1/tenants",
                 tenantBody(id, core::StrategyKind::HM, scenario, engine));
-            if (created.status != 201) {
+            created.count_down();
+            if (create.status != 201) {
                 failures.fetch_add(1);
                 return;
             }
+            created.wait();
 
             for (int i = 0; i < kJobs; ++i) {
                 obs::JsonWriter w;
@@ -402,12 +411,12 @@ TEST(ServeConcurrency, FourTenantsFourClientThreads)
                 }
             }
 
-            // Cross-tenant reads: another thread's tenant may not exist
-            // yet (404 is fine); anything else must succeed cleanly.
+            // Cross-tenant reads: every tenant was created before any
+            // thread got here, so each one must answer.
             for (int o = 0; o < kThreads; ++o) {
                 const auto r = client.get(
                     "/v1/tenants/load-" + std::to_string(o) + "/report");
-                if (r.status != 200 && r.status != 404)
+                if (r.status != 200)
                     failures.fetch_add(1);
             }
         });
