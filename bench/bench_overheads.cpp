@@ -29,7 +29,6 @@
 #include "obs/tracer.hpp"
 #include "profiling/quasar.hpp"
 #include "runtime/sharded_executor.hpp"
-#include "runtime/thread_pool.hpp"
 #include "sim/simulator.hpp"
 #include "workload/archetypes.hpp"
 #include "workload/scenario.hpp"
@@ -476,14 +475,13 @@ BENCHMARK(BM_ProcessGaugeCachedSet);
 
 /**
  * One ShardedExecutor::call() from a single caller onto idle shards of
- * an 8-shard executor over a 4-thread pool: the strand hop every serve
- * request makes. An idle shard runs the task on the caller.
+ * an 8-shard executor: the strand every serve request takes, an
+ * uncontended mutex with the task run on the caller.
  */
 void
 BM_StrandCallIdleShard(benchmark::State& state)
 {
-    runtime::ThreadPool pool(4);
-    runtime::ShardedExecutor executor(pool, 8);
+    runtime::ShardedExecutor executor(8);
     std::size_t shard = 0;
     for (auto _ : state) {
         const int v = executor.call(shard++ % 8, [] { return 1; });

@@ -225,7 +225,7 @@ parseBenchCli(int argc, char** argv, bool allowSweep)
         }
     }
     // Validate the HCLOUD_THREADS knob here at the edge: the bench is
-    // about to hand options.threads == 0 to a ThreadPool, whose
+    // about to hand options.threads == 0 to a fan-out, whose
     // defaultThreadCount() throws on a malformed value. Rejecting it as
     // a CLI error keeps the failure structured and before any work.
     if (cli.options.threads == 0) {

@@ -27,9 +27,9 @@ const char* kLadder[] = {"micro", "st1", "st2", "st8", "m16"};
 /**
  * One (provider x instance-type) sampling cell of Figures 1-2. The cells
  * are independent — each builds its own simulator and provider from a
- * named child seed — so the figure drivers fan them out on the runtime
- * thread pool; parallelMap returns rows in ladder order, bit-identical to
- * the serial loop.
+ * named child seed — so the figure drivers fan them out with
+ * runtime::parallelMap, which returns rows in ladder order, bit-identical
+ * to the serial loop.
  */
 struct SamplingCell
 {
@@ -102,9 +102,8 @@ fig01VariabilityBatch(const ExperimentOptions& opt)
         workload::generateSensitivity(spec.kind, sens_rng);
 
     const std::vector<SamplingCell> cells = samplingCells();
-    runtime::ThreadPool pool(opt.threads);
     const std::vector<std::vector<std::string>> rows = runtime::parallelMap(
-        pool, cells.size(), [&](std::size_t c) {
+        opt.threads, cells.size(), [&](std::size_t c) {
             const SamplingCell& cell = cells[c];
             sim::Simulator simulator;
             cloud::CloudProvider provider(
@@ -167,9 +166,8 @@ fig02VariabilityMemcached(const ExperimentOptions& opt)
         workload::interferenceSensitivity(sensitivity);
 
     const std::vector<SamplingCell> cells = samplingCells();
-    runtime::ThreadPool pool(opt.threads);
     const std::vector<std::vector<std::string>> rows = runtime::parallelMap(
-        pool, cells.size(), [&](std::size_t c) {
+        opt.threads, cells.size(), [&](std::size_t c) {
             const SamplingCell& cell = cells[c];
             sim::Simulator simulator;
             cloud::CloudProvider provider(

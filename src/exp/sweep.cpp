@@ -74,40 +74,6 @@ deriveSeedList(std::uint64_t baseSeed, std::size_t count)
     return seeds;
 }
 
-std::vector<std::pair<std::size_t, std::size_t>>
-costAwareChunks(const std::vector<double>& weights,
-                std::size_t targetChunks)
-{
-    std::vector<std::pair<std::size_t, std::size_t>> chunks;
-    const std::size_t n = weights.size();
-    if (n == 0)
-        return chunks;
-    if (targetChunks == 0)
-        targetChunks = 1;
-    double total = 0.0;
-    for (double w : weights)
-        total += w > 0.0 ? w : 0.0;
-    if (total <= 0.0)
-        total = static_cast<double>(n);
-    const double quota = total / static_cast<double>(targetChunks);
-    std::size_t lo = 0;
-    double acc = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        acc += weights[i] > 0.0 ? weights[i] : 1.0;
-        // Greedy prefix packing: close the chunk once it reaches its
-        // quota, keeping the last chunk open so every index is covered
-        // with at most targetChunks non-empty ranges.
-        if (acc >= quota && chunks.size() + 1 < targetChunks) {
-            chunks.emplace_back(lo, i + 1);
-            lo = i + 1;
-            acc = 0.0;
-        }
-    }
-    if (lo < n)
-        chunks.emplace_back(lo, n);
-    return chunks;
-}
-
 namespace {
 
 using Clock = std::chrono::steady_clock;
@@ -349,24 +315,14 @@ runSweep(const std::vector<SweepCell>& cells,
             : cells[c].label;
     }
 
-    // Task t = cell-major (cell * seeds + seedIndex); one weight per
-    // task so cost-aware chunking can spread expensive cells.
+    // Task t = cell-major (cell * seeds + seedIndex).
     const std::size_t seedCount = seeds.size();
     const std::size_t taskCount = cells.size() * seedCount;
     const std::size_t requested = options.threads > 0
         ? options.threads
         : runtime::defaultThreadCount();
-    runtime::ThreadPool pool(
-        std::max<std::size_t>(1, std::min(requested, taskCount)));
-    const std::size_t threads = pool.serial() ? 1 : pool.size();
-
-    std::vector<double> weights(taskCount, 1.0);
-    for (std::size_t t = 0; t < taskCount; ++t) {
-        const double w = cells[t / seedCount].costWeight;
-        weights[t] = w > 0.0 ? w : 1.0;
-    }
-    const std::vector<std::pair<std::size_t, std::size_t>> chunks =
-        costAwareChunks(weights, threads * 4);
+    const std::size_t threads =
+        std::max<std::size_t>(1, std::min(requested, taskCount));
 
     // Process-wide observability, each series resolved once per sweep:
     // a live progress gauge (labeled by sweep title, retired at the end)
@@ -477,14 +433,7 @@ runSweep(const std::vector<SweepCell>& cells,
         }
     };
 
-    runtime::parallelFor(
-        pool, 0, chunks.size(),
-        [&](std::size_t c) {
-            for (std::size_t t = chunks[c].first; t < chunks[c].second;
-                 ++t)
-                runTask(t);
-        },
-        /*chunk=*/1);
+    runtime::parallelFor(threads, taskCount, runTask);
 
     tel.maxBufferedRuns = aggregator.maxBuffered();
     tel.wallSec = secondsSince(sweepStart);
@@ -630,12 +579,6 @@ fig12SweepGrid(const core::EngineConfig& base)
             cell.scenario = scenario;
             cell.strategy = strategy;
             cell.config = base;
-            // HighVariability simulates the most arrivals per virtual
-            // hour; weight it so chunks don't stack its runs together.
-            cell.costWeight =
-                scenario == workload::ScenarioKind::HighVariability
-                ? 1.5
-                : 1.0;
             cells.push_back(std::move(cell));
         }
     }

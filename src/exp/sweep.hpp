@@ -6,16 +6,17 @@
  * shared scenario-trace cache and streaming CI aggregation.
  *
  * A sweep expands a figure grid (cells: scenario x strategy x config) by
- * a seed list into cells x seeds independent runs, packs them through
- * runtime::ThreadPool with cost-aware chunking, and reduces each cell's
- * runs into mean / stddev / 95% confidence intervals the moment they
- * land. A full RunResult outlives its own task only when the caller asks
- * for it through a visitor, so a thousand-run sweep holds kilobytes of
+ * a seed list into cells x seeds independent runs, fans them out with
+ * runtime::parallelFor (each worker pulls one run at a time, so uneven
+ * cells balance without weights), and reduces each cell's runs into
+ * mean / stddev / 95% confidence intervals the moment they land. A full
+ * RunResult outlives its own task only when the caller asks for it
+ * through a visitor, so a thousand-run sweep holds kilobytes of
  * aggregates, not gigabytes of results.
  *
  * Three mechanisms keep per-run cost down:
  *
- *  1. Engine reuse: each pool worker rents a core::EngineRun from a
+ *  1. Engine reuse: each worker rents a core::EngineRun from a
  *     shared pool and re-arms it via EngineRun::reset() between runs, so
  *     the event-queue slab, callback storage, ring buffers and job-index
  *     hash buckets are paid for once per worker, not once per run.
@@ -47,7 +48,6 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/metrics.hpp"
@@ -73,10 +73,6 @@ struct SweepCell
     std::optional<workload::ScenarioConfig> scenarioOverride;
     /** Cell label in reports; empty = "<scenario>/<strategy>". */
     std::string label;
-    /** Relative execution cost for chunk packing (1.0 = nominal). Cells
-     *  known to simulate more events (e.g. HighVariability) can be
-     *  weighted so no chunk concentrates the expensive runs. */
-    double costWeight = 1.0;
 };
 
 /** Sweep-wide knobs. */
@@ -193,15 +189,6 @@ struct SweepResult
 std::vector<std::uint64_t> deriveSeedList(std::uint64_t baseSeed,
                                           std::size_t count);
 
-/**
- * Split task indices [0, weights.size()) into at most @p targetChunks
- * contiguous ranges of near-equal total weight (greedy prefix packing
- * against the ideal weight/chunk quota). Every index lands in exactly
- * one range; ranges are returned in index order.
- */
-std::vector<std::pair<std::size_t, std::size_t>> costAwareChunks(
-    const std::vector<double>& weights, std::size_t targetChunks);
-
 /** Help text of `hcloud_run_completed_total`, which runSweep bumps once
  *  per run (exp::ScopedMetricsServer registers it up front). */
 inline constexpr const char* kRunCompletedHelp = "Engine runs completed";
@@ -218,16 +205,16 @@ using SweepVisitor = std::function<void(
 /**
  * Run @p cells x exactly @p seeds and reduce per cell.
  *
- * Execution: tasks are ordered cell-major (cell * seeds + seedIndex),
- * chunked by costAwareChunks over per-task cost weights, and executed on
- * a pool of options.threads workers. Each task rents an engine (reset or
- * fresh), resolves its trace through the shared cache, runs, extracts a
- * small metrics record and hands the RunResult to @p visit (or drops it
- * when @p visit is empty). Records fold into the per-cell accumulators in
- * strict seed order regardless of completion order, so the returned
- * aggregates are byte-identical at any thread count (sweepCellsJson() is
- * the canonical comparison form). options.seeds and options.baseSeed only
- * label the result here; @p seeds is the seed list.
+ * Execution: tasks are ordered cell-major (cell * seeds + seedIndex) and
+ * pulled one at a time by options.threads workers (runtime::parallelFor).
+ * Each task rents an engine (reset or fresh), resolves its trace through
+ * the shared cache, runs, extracts a small metrics record and hands the
+ * RunResult to @p visit (or drops it when @p visit is empty). Records
+ * fold into the per-cell accumulators in strict seed order regardless of
+ * completion order, so the returned aggregates are byte-identical at any
+ * thread count (sweepCellsJson() is the canonical comparison form).
+ * options.seeds and options.baseSeed only label the result here; @p seeds
+ * is the seed list.
  *
  * A cell whose config carries a trace or timeline `sinkStem` streams each
  * run to its own part file, "<stem>.<sweep>-<cell>-<seedIndex>.part",

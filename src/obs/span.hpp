@@ -19,10 +19,10 @@
  *
  * Propagation is thread-local: SpanBinding installs (tracer, context)
  * on the current thread; SpanScope opens a child span of whatever is
- * current and re-parents the context for its lifetime. Crossing a
- * runtime::ShardedExecutor strand hands the binding over explicitly
- * (post() captures it, the drain job restores it), which is what makes
- * strand queue wait visible as its own span.
+ * current and re-parents the context for its lifetime. A
+ * runtime::ShardedExecutor strand runs its task on the caller's thread,
+ * so the binding carries through, and records the time spent waiting
+ * for the strand as its own span.
  *
  * Cost contract: with no tracer bound (the default everywhere outside
  * `hcloud serve --span-trace`), SpanScope construction is one
@@ -154,8 +154,7 @@ SpanTracer* currentSpanTracer();
 /**
  * RAII: bind (@p tracer, @p context) to this thread, restoring the
  * previous binding on destruction. The HTTP layer binds the root
- * context around handler invocation; the strand executor re-binds on
- * the draining pool thread.
+ * context around handler invocation.
  */
 class SpanBinding
 {
@@ -175,7 +174,7 @@ class SpanBinding
  * RAII child span of the current thread-local context. Inert (one TLS
  * load, one branch) when no tracer is bound or tracing is disabled.
  * While alive, the current context points at this span, so nested
- * scopes and strand handoffs parent correctly.
+ * scopes parent correctly.
  */
 class SpanScope
 {

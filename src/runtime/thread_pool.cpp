@@ -1,12 +1,15 @@
 #include "runtime/thread_pool.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
+#include <exception>
+#include <mutex>
 #include <stdexcept>
 #include <string>
-
-#include "obs/process_metrics.hpp"
+#include <thread>
 
 namespace hcloud::runtime {
 
@@ -58,116 +61,44 @@ defaultThreadCount()
     return hardwareThreads();
 }
 
-ThreadPool::ThreadPool(std::size_t threads)
+void
+parallelFor(std::size_t threads, std::size_t n,
+            const std::function<void(std::size_t)>& fn)
 {
-    obs::ProcessMetrics& pm = obs::ProcessMetrics::instance();
-    queueDepth_ = &pm.gauge("hcloud_pool_queue_depth",
-                            "Tasks queued but not yet picked up, summed "
-                            "over all live pools");
-    inflight_ = &pm.gauge("hcloud_pool_inflight_tasks",
-                          "Tasks currently executing on pool workers");
-    completed_ = &pm.counter("hcloud_pool_tasks_completed_total",
-                             "Pool tasks finished without an exception");
-    failed_ = &pm.counter("hcloud_pool_tasks_failed_total",
-                          "Pool tasks that raised an exception");
-    workers_gauge_ = &pm.gauge("hcloud_pool_workers",
-                               "Worker threads across all live pools "
-                               "(serial pools contribute 0)");
     if (threads == 0)
         threads = defaultThreadCount();
-    // One thread means "run on the caller": spawning a single worker would
-    // only add queueing latency without any overlap.
-    if (threads <= 1)
-        return;
-    workers_.reserve(threads);
-    for (std::size_t i = 0; i < threads; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
-    workers_gauge_->add(static_cast<double>(workers_.size()));
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stop_ = true;
-    }
-    workCv_.notify_all();
-    for (std::thread& w : workers_)
-        w.join();
-    workers_gauge_->add(-static_cast<double>(workers_.size()));
-}
-
-void
-ThreadPool::submit(std::function<void()> task)
-{
-    if (serial()) {
-        // Serial path: execute inline. Exceptions are captured so that
-        // submit()/wait() semantics match the threaded pool.
-        inflight_->add(1.0);
-        try {
-            task();
-            completed_->inc();
-        } catch (...) {
-            failed_->inc();
-            if (!error_)
-                error_ = std::current_exception();
+    std::atomic<std::size_t> next{0};
+    std::mutex errorMutex;
+    std::size_t errorIndex = n;
+    std::exception_ptr error;
+    auto work = [&] {
+        for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+             i < n; i = next.fetch_add(1, std::memory_order_relaxed)) {
+            try {
+                fn(i);
+            } catch (...) {
+                const std::lock_guard<std::mutex> lock(errorMutex);
+                if (i < errorIndex) {
+                    errorIndex = i;
+                    error = std::current_exception();
+                }
+            }
         }
-        inflight_->add(-1.0);
-        return;
+    };
+    std::vector<std::thread> helpers;
+    try {
+        for (std::size_t t = 1; t < std::min(threads, n); ++t)
+            helpers.emplace_back(work);
+    } catch (const std::exception&) {
+        // A thread that cannot start (std::system_error, std::bad_alloc)
+        // only means less overlap: the caller and the threads already
+        // started still run every index.
     }
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        queue_.push_back(std::move(task));
-        ++pending_;
-    }
-    queueDepth_->add(1.0);
-    workCv_.notify_one();
-}
-
-void
-ThreadPool::wait()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    doneCv_.wait(lock, [&] { return pending_ == 0; });
-    if (error_) {
-        std::exception_ptr error = error_;
-        error_ = nullptr;
+    work();
+    for (std::thread& helper : helpers)
+        helper.join();
+    if (error)
         std::rethrow_exception(error);
-    }
-}
-
-void
-ThreadPool::workerLoop()
-{
-    for (;;) {
-        std::function<void()> task;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            workCv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
-            // Graceful shutdown: keep draining until the queue is empty.
-            if (queue_.empty())
-                return;
-            task = std::move(queue_.front());
-            queue_.pop_front();
-        }
-        queueDepth_->add(-1.0);
-        inflight_->add(1.0);
-        std::exception_ptr error;
-        try {
-            task();
-        } catch (...) {
-            error = std::current_exception();
-        }
-        inflight_->add(-1.0);
-        (error ? failed_ : completed_)->inc();
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (error && !error_)
-                error_ = error;
-            if (--pending_ == 0)
-                doneCv_.notify_all();
-        }
-    }
 }
 
 } // namespace hcloud::runtime

@@ -1,42 +1,30 @@
 /**
  * @file
- * Fixed-size thread pool with chunked parallel-for / parallel-map helpers.
+ * Fork-join fan-outs (parallelFor / parallelMap) and the worker-count
+ * knob every runtime consumer shares. No thread outlives a fan-out, and
+ * the runtime knows nothing about experiments. Design constraints:
  *
- * The pool is the low-level half of the execution runtime: it knows nothing
- * about experiments, only about running closures on worker threads. Design
- * constraints, in order:
- *
- *  1. Determinism of *results* is the caller's problem (tasks must not share
- *     mutable state); determinism of *structure* is ours: parallelMap()
- *     returns results in submission order, and when several tasks throw,
- *     the exception of the lowest-index task is the one rethrown, so a
- *     failing run reports the same error regardless of scheduling.
- *  2. Exceptions never kill a worker: they are captured per task and
- *     rethrown on the waiting caller's thread.
- *  3. A pool constructed with one thread (e.g. HCLOUD_THREADS=1) runs every
- *     task inline on the caller's thread — the serial path is the literal
- *     same code path a pool-free caller would take, not a one-worker queue.
- *  4. Destruction is graceful: queued tasks are drained, then workers join.
+ *  1. Determinism of *results* is the caller's problem (indices must not
+ *     share mutable state); determinism of *structure* is ours:
+ *     parallelMap() returns results in index order, and when several
+ *     indices throw, the exception of the lowest failing index is the
+ *     one rethrown, so a failing run reports the same error regardless
+ *     of scheduling. Every index runs, even after a failure.
+ *  2. A thread count of one (e.g. HCLOUD_THREADS=1) runs a plain loop on
+ *     the caller's thread: the serial path starts no thread at all.
+ *  3. Indices are pulled one at a time from a shared counter, so uneven
+ *     index costs balance without any weights.
  */
 
 #ifndef HCLOUD_RUNTIME_THREAD_POOL_HPP
 #define HCLOUD_RUNTIME_THREAD_POOL_HPP
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
+#include <type_traits>
 #include <vector>
-
-namespace hcloud::obs {
-class ProcessCounter;
-class ProcessGauge;
-} // namespace hcloud::obs
 
 namespace hcloud::runtime {
 
@@ -53,8 +41,8 @@ struct ThreadCountError
 };
 
 /**
- * Parse a worker-count token as used by HCLOUD_THREADS and --threads:
- * a positive base-10 integer with no trailing characters.
+ * Parse a worker-count token as used by HCLOUD_THREADS: a positive
+ * base-10 integer with no trailing characters.
  *
  * @return the count, or std::nullopt with @p error (when non-null)
  * filled in. Rejections are structured, never silent: "0", "abc", "4x",
@@ -70,200 +58,42 @@ std::optional<std::size_t> parseThreadCount(const char* text,
  * consumer onto the serial path.
  *
  * @throws std::invalid_argument when HCLOUD_THREADS is set but is not a
- * positive integer. A malformed knob used to fall back to
- * hardwareThreads() silently — which on a big host turned "HCLOUD_THREADS=
- * 4x" into a 64-way fan-out nobody asked for. CLIs validate at the edge
- * (exp::parseBenchCli) and report the structured reason instead.
+ * positive integer, never a silent fallback ("4x" must not become a
+ * 64-way fan-out). CLIs validate at the edge (exp::parseBenchCli) and
+ * report the structured reason instead.
  */
 std::size_t defaultThreadCount();
 
 /**
- * Fixed-size worker pool.
+ * Invoke fn(i) for every i in [0, n) on min(threads, n) threads, the
+ * caller being one of them: min(threads, n) - 1 threads are started,
+ * they and the caller pull indices from one atomic counter, and all are
+ * joined before the call returns. Rethrows the exception of the lowest
+ * failing index once every index has run.
  *
- * submit() enqueues a closure; wait() blocks until everything submitted so
- * far has finished and rethrows the first exception any task raised since
- * the last wait(). Higher-level fan-outs should prefer parallelFor() /
- * parallelMap(), which add chunking, ordered results and lowest-index
- * exception selection.
+ * @param threads worker count; 0 = defaultThreadCount(), <= 1 = a plain
+ *                loop on the caller
  */
-class ThreadPool
-{
-  public:
-    /** @param threads Worker count; 0 = defaultThreadCount(). */
-    explicit ThreadPool(std::size_t threads = 0);
-
-    /** Drains the queue, then joins all workers. */
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool&) = delete;
-    ThreadPool& operator=(const ThreadPool&) = delete;
-
-    /**
-     * Worker count. 0 means the pool is serial: submit() runs tasks
-     * inline on the calling thread.
-     */
-    std::size_t size() const { return workers_.size(); }
-
-    /** True when tasks run inline on the caller's thread. */
-    bool serial() const { return workers_.empty(); }
-
-    /** Enqueue a task (or run it inline on a serial pool). */
-    void submit(std::function<void()> task);
-
-    /**
-     * Block until every task submitted so far has completed. Rethrows the
-     * first exception captured from a task since the previous wait().
-     */
-    void wait();
-
-  private:
-    void workerLoop();
-
-    std::vector<std::thread> workers_;
-    std::deque<std::function<void()>> queue_;
-    mutable std::mutex mutex_;
-    std::condition_variable workCv_; ///< queue non-empty or stopping
-    std::condition_variable doneCv_; ///< pending count reached zero
-    std::size_t pending_ = 0;        ///< queued + currently executing
-    std::exception_ptr error_;       ///< first task exception since wait()
-    bool stop_ = false;
-
-    // Process-wide observability (obs::ProcessMetrics::instance()):
-    // queue depth and in-flight move via atomic add so several pools
-    // compose, completed/failed count per task. Pointers cached at
-    // construction; updates are one atomic op each.
-    obs::ProcessGauge* queueDepth_;
-    obs::ProcessGauge* inflight_;
-    obs::ProcessGauge* workers_gauge_;
-    obs::ProcessCounter* completed_;
-    obs::ProcessCounter* failed_;
-};
-
-namespace detail {
+void parallelFor(std::size_t threads, std::size_t n,
+                 const std::function<void(std::size_t)>& fn);
 
 /**
- * Join-point for one parallelFor/parallelMap call: counts completions and
- * keeps the exception of the lowest-index failed task.
- */
-class TaskGroup
-{
-  public:
-    explicit TaskGroup(std::size_t pending) : pending_(pending) {}
-
-    void finish(std::size_t index, std::exception_ptr error)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (error && index < errorIndex_) {
-            errorIndex_ = index;
-            error_ = error;
-        }
-        if (--pending_ == 0)
-            cv_.notify_all();
-    }
-
-    /** Blocks until every task finished; rethrows the selected error. */
-    void wait()
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        cv_.wait(lock, [&] { return pending_ == 0; });
-        if (error_)
-            std::rethrow_exception(error_);
-    }
-
-  private:
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    std::size_t pending_;
-    std::exception_ptr error_;
-    std::size_t errorIndex_ = static_cast<std::size_t>(-1);
-};
-
-/** Chunk length for n items on a pool, targeting ~4 chunks per worker. */
-inline std::size_t
-chunkLength(const ThreadPool& pool, std::size_t n, std::size_t requested)
-{
-    if (requested > 0)
-        return requested;
-    const std::size_t target = pool.size() * 4;
-    if (target == 0)
-        return n > 0 ? n : 1;
-    const std::size_t chunk = (n + target - 1) / target;
-    return chunk > 0 ? chunk : 1;
-}
-
-} // namespace detail
-
-/**
- * Invoke fn(i) for every i in [begin, end), distributing contiguous chunks
- * across the pool. Blocks until done; rethrows the exception of the
- * lowest-index failing iteration. On a serial pool this is a plain loop.
- *
- * @param chunk Iterations per task; 0 = automatic (~4 chunks per worker).
- */
-template <typename Fn>
-void
-parallelFor(ThreadPool& pool, std::size_t begin, std::size_t end, Fn fn,
-            std::size_t chunk = 0)
-{
-    if (begin >= end)
-        return;
-    const std::size_t n = end - begin;
-    if (pool.serial()) {
-        for (std::size_t i = begin; i < end; ++i)
-            fn(i);
-        return;
-    }
-    const std::size_t len = detail::chunkLength(pool, n, chunk);
-    const std::size_t chunks = (n + len - 1) / len;
-    detail::TaskGroup group(chunks);
-    for (std::size_t c = 0; c < chunks; ++c) {
-        const std::size_t lo = begin + c * len;
-        const std::size_t hi = lo + len < end ? lo + len : end;
-        pool.submit([&fn, &group, c, lo, hi] {
-            std::exception_ptr error;
-            try {
-                for (std::size_t i = lo; i < hi; ++i)
-                    fn(i);
-            } catch (...) {
-                error = std::current_exception();
-            }
-            group.finish(c, error);
-        });
-    }
-    group.wait();
-}
-
-/**
- * Compute fn(i) for every i in [0, n) concurrently and return the results
- * in index order — the deterministic, submission-ordered merge every
- * runtime consumer builds on. Blocks until done; rethrows the exception of
- * the lowest-index failing task. On a serial pool this is a plain loop.
+ * Compute fn(i) for every i in [0, n) through parallelFor() and return
+ * the results in index order — the deterministic merge every runtime
+ * consumer builds on.
  */
 template <typename Fn>
 auto
-parallelMap(ThreadPool& pool, std::size_t n, Fn fn)
+parallelMap(std::size_t threads, std::size_t n, Fn fn)
     -> std::vector<decltype(fn(std::size_t{}))>
 {
     using Result = decltype(fn(std::size_t{}));
+    // Distinct elements of a vector<bool> share words: writing them from
+    // different threads would race.
+    static_assert(!std::is_same_v<Result, bool>,
+                  "parallelMap cannot fill a std::vector<bool>");
     std::vector<Result> results(n);
-    if (pool.serial()) {
-        for (std::size_t i = 0; i < n; ++i)
-            results[i] = fn(i);
-        return results;
-    }
-    detail::TaskGroup group(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        pool.submit([&fn, &results, &group, i] {
-            std::exception_ptr error;
-            try {
-                results[i] = fn(i);
-            } catch (...) {
-                error = std::current_exception();
-            }
-            group.finish(i, error);
-        });
-    }
-    group.wait();
+    parallelFor(threads, n, [&](std::size_t i) { results[i] = fn(i); });
     return results;
 }
 

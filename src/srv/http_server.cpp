@@ -550,7 +550,7 @@ HttpServer::serveOne(int fd, std::string& buffer, std::uint64_t acceptNs)
     const std::uint64_t t2 = observing_ ? obs::SpanTracer::nowNs() : 0;
 
     // Span setup: allocate ids before the handler so everything it does
-    // (strand hops, engine calls) parents under this request's trace,
+    // (strand and engine calls) parents under this request's trace,
     // but emit no span lines until the response is on the wire — sink
     // serialization must not open gaps between the stage clocks.
     obs::SpanTracer* st =
@@ -575,7 +575,7 @@ HttpServer::serveOne(int fd, std::string& buffer, std::uint64_t acceptNs)
             if (st) {
                 // The handle span itself is emitted below with the t2/t3
                 // stage clocks; here we only bind it as the thread-local
-                // parent for the handler's strand hops and engine spans.
+                // parent for the handler's strand and engine spans.
                 obs::SpanBinding bind(
                     st, obs::SpanContext{traceId, handleId});
                 response = matched->handler(req);

@@ -173,7 +173,7 @@ struct HttpServerConfig
      * When enabled, each routed request gets a trace id, an
      * "http.request" root span with read/route/handle/write children,
      * and the (tracer, context) pair is bound thread-locally around the
-     * handler so downstream strand hops and engine calls join the trace.
+     * handler so downstream strand and engine calls join the trace.
      */
     obs::SpanTracer* spans = nullptr;
     /**

@@ -168,9 +168,8 @@ ServeApp::ServeApp(ServeConfig config, obs::ProcessMetrics& metrics)
       slowMs_(resolveSlowMs(config.slowMs)),
       maxAdvance_(config.maxAdvance),
       timelineCadence_(config.timelineCadence),
-      startNs_(obs::SpanTracer::nowNs()), pool_(config.threads),
-      sessions_(pool_, config.shards, config.journal, config.limits,
-                metrics_),
+      startNs_(obs::SpanTracer::nowNs()),
+      sessions_(config.shards, config.journal, config.limits, metrics_),
       server_(makeServerConfig(config))
 {
     routes();

@@ -62,7 +62,6 @@
 
 #include "obs/process_metrics.hpp"
 #include "obs/span.hpp"
-#include "runtime/thread_pool.hpp"
 #include "srv/http_server.hpp"
 #include "srv/session_manager.hpp"
 #include "srv/statusz.hpp"
@@ -73,10 +72,6 @@ struct ServeConfig
 {
     /** Session shards (concurrent tenant strands). */
     std::size_t shards = 8;
-    /** Pool workers for strand work that queued behind a busy tenant
-     *  (an idle tenant's request runs on its HTTP worker);
-     *  0 = defaultThreadCount(). */
-    std::size_t threads = 0;
     /** HTTP connection workers. */
     std::size_t httpWorkers = 8;
     /** Accepted-connection queue bound (then 503). */
@@ -183,7 +178,6 @@ class ServeApp
         responseSeries_;
     /** hcloud_http_stage_seconds, read..write; set by the first request. */
     std::array<obs::ProcessHistogram*, 4> stageSeries_{};
-    runtime::ThreadPool pool_;
     SessionManager sessions_;
     HttpServer server_; ///< last: its config captures `this`
 };

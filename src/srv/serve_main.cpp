@@ -8,8 +8,8 @@
  * thread blocks reading it) so shutdown is async-signal-safe.
  *
  * Usage:
- *   hcloud_serve [--port N] [--shards N] [--threads N]
- *                [--http-workers N] [--span-trace PATH] [--slow-ms N]
+ *   hcloud_serve [--port N] [--shards N] [--http-workers N]
+ *                [--span-trace PATH] [--slow-ms N]
  *                [--data-dir DIR] [--fsync POLICY]
  *                [--fsync-interval-ms N] [--max-journal-mb N]
  *                [--max-sessions N] [--idle-evict-s N]
@@ -44,9 +44,8 @@ usage(const char* argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s [--port N] [--shards N] [--threads N]\n"
-        "          [--http-workers N] [--span-trace PATH] "
-        "[--slow-ms N]\n"
+        "usage: %s [--port N] [--shards N] [--http-workers N]\n"
+        "          [--span-trace PATH] [--slow-ms N]\n"
         "          [--data-dir DIR] [--fsync always|interval|never]\n"
         "          [--fsync-interval-ms N] [--max-journal-mb N]\n"
         "          [--max-sessions N] [--idle-evict-s N] "
@@ -55,10 +54,6 @@ usage(const char* argv0)
         "\n"
         "  --port N          listen port (default 8080, 0 = ephemeral)\n"
         "  --shards N        tenant session strands (default 8)\n"
-        "  --threads N       pool threads for strand work that queued\n"
-        "                    behind a busy tenant; an idle tenant's\n"
-        "                    request runs on its HTTP worker (default:\n"
-        "                    HCLOUD_THREADS or hardware)\n"
         "  --http-workers N  HTTP connection workers (default 8)\n"
         "  --span-trace P    write request spans as JSONL to P\n"
         "                    (default: HCLOUD_SPANS, unset = off)\n"
@@ -89,12 +84,16 @@ usage(const char* argv0)
         argv0);
 }
 
+/** Largest --max-journal-mb whose byte count fits in 64 bits. */
+constexpr long kMaxJournalMb = (1L << 44) - 1;
+
 bool
 parseCount(const char* value, long* out)
 {
     char* end = nullptr;
+    errno = 0;
     const long parsed = std::strtol(value, &end, 10);
-    if (end == value || *end != '\0' || parsed < 0)
+    if (end == value || *end != '\0' || parsed < 0 || errno == ERANGE)
         return false;
     *out = parsed;
     return true;
@@ -112,7 +111,9 @@ main(int argc, char** argv)
         const char* arg = argv[i];
         auto next = [&](long* out) {
             if (i + 1 >= argc || !parseCount(argv[++i], out)) {
-                std::fprintf(stderr, "serve: %s requires a number\n",
+                std::fprintf(stderr,
+                             "serve: %s requires a non-negative integer "
+                             "in range\n",
                              arg);
                 return false;
             }
@@ -131,10 +132,6 @@ main(int argc, char** argv)
             if (!next(&value))
                 return 2;
             config.shards = static_cast<std::size_t>(value);
-        } else if (std::strcmp(arg, "--threads") == 0) {
-            if (!next(&value))
-                return 2;
-            config.threads = static_cast<std::size_t>(value);
         } else if (std::strcmp(arg, "--http-workers") == 0) {
             if (!next(&value) || value == 0)
                 return 2;
@@ -173,6 +170,13 @@ main(int argc, char** argv)
         } else if (std::strcmp(arg, "--max-journal-mb") == 0) {
             if (!next(&value))
                 return 2;
+            if (value > kMaxJournalMb) {
+                std::fprintf(stderr,
+                             "serve: --max-journal-mb must be at most "
+                             "%ld\n",
+                             kMaxJournalMb);
+                return 2;
+            }
             config.journal.maxBytesPerTenant =
                 static_cast<std::uint64_t>(value) << 20;
         } else if (std::strcmp(arg, "--max-sessions") == 0) {

@@ -130,11 +130,10 @@ TenantMetrics::retire()
     retireSim();
 }
 
-SessionManager::SessionManager(runtime::ThreadPool& pool,
-                               std::size_t shards, JournalConfig journal,
+SessionManager::SessionManager(std::size_t shards, JournalConfig journal,
                                Limits limits,
                                obs::ProcessMetrics& metrics)
-    : executor_(pool, shards), journal_(std::move(journal)),
+    : executor_(shards), journal_(std::move(journal)),
       limits_(limits), metrics_(metrics)
 {
     if (journal_.enabled() && !ensureDataDir(journal_.dataDir)) {

@@ -6,11 +6,12 @@
  * Each tenant session is pinned at creation to one strand of a
  * runtime::ShardedExecutor (shard = creation sequence % shards), and
  * every touch of the session — construction, job submission, advancing,
- * reporting — runs through with() on that strand. One tenant's engine is
- * therefore strictly serialized (no locks inside the simulation) while
- * different tenants on different shards run concurrently on the shared
- * ThreadPool; N HTTP workers hammering one tenant serialize cleanly
- * (asserted under TSan in tests/test_srv_session.cpp).
+ * reporting — runs through with() on that strand, on the calling HTTP
+ * worker's own thread. One tenant's engine is therefore strictly
+ * serialized (no locks inside the simulation) while different tenants
+ * on different shards run concurrently; N HTTP workers hammering one
+ * tenant serialize cleanly (asserted under TSan in
+ * tests/test_srv_session.cpp).
  *
  * Lifecycle (all journal-backed behavior is off when JournalConfig is
  * disabled, i.e. no --data-dir):
@@ -123,10 +124,10 @@ class SessionManager
   public:
     using Limits = SessionLimits;
 
-    SessionManager(runtime::ThreadPool& pool, std::size_t shards,
-                   JournalConfig journal = {}, Limits limits = {},
-                   obs::ProcessMetrics& metrics =
-                       obs::ProcessMetrics::instance());
+    explicit SessionManager(std::size_t shards, JournalConfig journal = {},
+                            Limits limits = {},
+                            obs::ProcessMetrics& metrics =
+                                obs::ProcessMetrics::instance());
 
     /** Waits for all in-flight session work before returning. */
     ~SessionManager();
@@ -239,7 +240,7 @@ class SessionManager
 
     LifecycleStats lifecycleStats() const;
 
-    /** Queued + running tasks per strand (see ShardedExecutor). */
+    /** Waiting + running calls per strand (see ShardedExecutor). */
     std::vector<std::size_t> queueDepths() const
     {
         return executor_.queueDepths();

@@ -1,7 +1,7 @@
 /**
  * @file
  * SweepScheduler tests: Welford/merge math against direct computation,
- * seed-list derivation, cost-aware chunking, EngineRun::reset()
+ * seed-list derivation, EngineRun::reset()
  * bit-identity with a fresh engine, thread-count and submission-order
  * independence of the streaming aggregates and of the full results a
  * visitor receives, literal seed lists, trace-cache and engine-reuse
@@ -98,40 +98,6 @@ TEST(SweepSeeds, DerivationIsDeterministicDistinctAndPrefixStable)
               10u);
     // Different bases give different lists.
     EXPECT_NE(exp::deriveSeedList(43, 5), five);
-}
-
-TEST(SweepChunks, CoverEveryIndexInOrderWithinBound)
-{
-    for (std::size_t n : {1u, 2u, 7u, 16u, 61u}) {
-        for (std::size_t target : {1u, 2u, 4u, 9u, 100u}) {
-            std::vector<double> weights(n, 1.0);
-            for (std::size_t i = 0; i < n; ++i)
-                weights[i] = 1.0 + double(i % 3);
-            const auto chunks = exp::costAwareChunks(weights, target);
-            ASSERT_FALSE(chunks.empty());
-            EXPECT_LE(chunks.size(), target);
-            std::size_t expectLo = 0;
-            for (const auto& [lo, hi] : chunks) {
-                EXPECT_EQ(lo, expectLo);
-                EXPECT_LT(lo, hi);
-                expectLo = hi;
-            }
-            EXPECT_EQ(expectLo, n);
-        }
-    }
-    EXPECT_TRUE(exp::costAwareChunks({}, 4).empty());
-}
-
-TEST(SweepChunks, WeightsSteerTheSplit)
-{
-    // One heavy task up front: with equal weights a 2-way split of four
-    // tasks is 2+2; weighting task 0 at 3x moves the boundary to 1+3.
-    const auto even = exp::costAwareChunks({1.0, 1.0, 1.0, 1.0}, 2);
-    ASSERT_EQ(even.size(), 2u);
-    EXPECT_EQ(even[0].second, 2u);
-    const auto skewed = exp::costAwareChunks({3.0, 1.0, 1.0, 1.0}, 2);
-    ASSERT_EQ(skewed.size(), 2u);
-    EXPECT_EQ(skewed[0].second, 1u);
 }
 
 /** Short scenario so an engine run costs milliseconds, not seconds. */
@@ -383,10 +349,6 @@ tinyGrid()
             cell.scenario = scenario;
             cell.strategy = strategy;
             cell.scenarioOverride = tinyScenario(scenario, 0);
-            cell.costWeight =
-                scenario == workload::ScenarioKind::HighVariability
-                ? 1.5
-                : 1.0;
             cells.push_back(std::move(cell));
         }
     }

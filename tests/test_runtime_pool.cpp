@@ -1,23 +1,25 @@
 /**
  * @file
- * Tests for the runtime thread pool: task completion, ordered parallel
- * maps, exception propagation, graceful shutdown under load, the
- * HCLOUD_THREADS=1 serial fallback, strict HCLOUD_THREADS validation
- * (parseThreadCount) and the process-metrics instrumentation
- * (hcloud_pool_* gauges returning to their pre-pool values).
+ * Tests for the runtime fork-join fan-out: every index exactly once,
+ * ordered parallel maps, lowest-index exception selection with every
+ * index still run, no more threads than indices, the HCLOUD_THREADS=1
+ * serial fallback and strict HCLOUD_THREADS validation
+ * (parseThreadCount).
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "obs/process_metrics.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace hcloud::runtime {
@@ -53,43 +55,17 @@ class ScopedEnv
     std::string old_;
 };
 
-TEST(ThreadPool, RunsEverySubmittedTask)
-{
-    std::atomic<int> count{0};
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.size(), 4u);
-    for (int i = 0; i < 200; ++i)
-        pool.submit([&count] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 200);
-}
-
-TEST(ThreadPool, WaitIsReusableAcrossBatches)
-{
-    std::atomic<int> count{0};
-    ThreadPool pool(2);
-    for (int batch = 0; batch < 3; ++batch) {
-        for (int i = 0; i < 50; ++i)
-            pool.submit([&count] { ++count; });
-        pool.wait();
-        EXPECT_EQ(count.load(), 50 * (batch + 1));
-    }
-}
-
 TEST(ThreadPool, ParallelForCoversRangeExactlyOnce)
 {
-    ThreadPool pool(3);
     std::vector<std::atomic<int>> hits(257);
-    parallelFor(pool, 1, 257, [&](std::size_t i) { ++hits[i]; });
-    EXPECT_EQ(hits[0].load(), 0);
-    for (std::size_t i = 1; i < hits.size(); ++i)
+    parallelFor(3, hits.size(), [&](std::size_t i) { ++hits[i]; });
+    for (std::size_t i = 0; i < hits.size(); ++i)
         EXPECT_EQ(hits[i].load(), 1) << "index " << i;
 }
 
 TEST(ThreadPool, ParallelMapPreservesSubmissionOrder)
 {
-    ThreadPool pool(4);
-    const auto out = parallelMap(pool, 100, [](std::size_t i) {
+    const auto out = parallelMap(4, 100, [](std::size_t i) {
         return static_cast<int>(i * i);
     });
     ASSERT_EQ(out.size(), 100u);
@@ -99,30 +75,17 @@ TEST(ThreadPool, ParallelMapPreservesSubmissionOrder)
 
 TEST(ThreadPool, ParallelMapOnEmptyRange)
 {
-    ThreadPool pool(2);
-    const auto out =
-        parallelMap(pool, 0, [](std::size_t) { return 1; });
+    const auto out = parallelMap(2, 0, [](std::size_t) { return 1; });
     EXPECT_TRUE(out.empty());
-}
-
-TEST(ThreadPool, SubmitExceptionSurfacesOnWait)
-{
-    ThreadPool pool(2);
-    pool.submit([] { throw std::runtime_error("boom"); });
-    EXPECT_THROW(pool.wait(), std::runtime_error);
-    // The error is consumed: the pool stays usable afterwards.
-    std::atomic<int> count{0};
-    pool.submit([&count] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 1);
 }
 
 TEST(ThreadPool, ParallelMapRethrowsLowestIndexException)
 {
-    ThreadPool pool(4);
     for (int attempt = 0; attempt < 5; ++attempt) {
+        std::vector<std::atomic<int>> ran(64);
         try {
-            parallelMap(pool, 64, [](std::size_t i) {
+            parallelMap(4, ran.size(), [&ran](std::size_t i) {
+                ++ran[i];
                 if (i == 11 || i == 12 || i == 63)
                     throw std::runtime_error(std::to_string(i));
                 return i;
@@ -132,13 +95,15 @@ TEST(ThreadPool, ParallelMapRethrowsLowestIndexException)
             // Deterministic selection regardless of scheduling.
             EXPECT_STREQ(e.what(), "11");
         }
+        // A failure stops no other index.
+        for (std::size_t i = 0; i < ran.size(); ++i)
+            EXPECT_EQ(ran[i].load(), 1) << "index " << i;
     }
 }
 
 TEST(ThreadPool, ParallelForPropagatesExceptions)
 {
-    ThreadPool pool(2);
-    EXPECT_THROW(parallelFor(pool, 0, 100,
+    EXPECT_THROW(parallelFor(2, 100,
                              [](std::size_t i) {
                                  if (i == 40)
                                      throw std::logic_error("x");
@@ -146,56 +111,84 @@ TEST(ThreadPool, ParallelForPropagatesExceptions)
                  std::logic_error);
 }
 
-TEST(ThreadPool, GracefulShutdownDrainsQueueUnderLoad)
-{
-    std::atomic<int> count{0};
-    {
-        ThreadPool pool(2);
-        for (int i = 0; i < 300; ++i) {
-            pool.submit([&count] {
-                std::this_thread::sleep_for(std::chrono::microseconds(50));
-                ++count;
-            });
-        }
-        // Destructor must finish all queued work before joining.
-    }
-    EXPECT_EQ(count.load(), 300);
-}
-
 TEST(ThreadPool, SingleThreadRunsInline)
 {
-    ThreadPool pool(1);
-    EXPECT_TRUE(pool.serial());
-    EXPECT_EQ(pool.size(), 0u);
-    const auto caller = std::this_thread::get_id();
-    std::thread::id ran_on;
-    pool.submit([&ran_on] { ran_on = std::this_thread::get_id(); });
-    pool.wait();
-    EXPECT_EQ(ran_on, caller);
-    // Inline exceptions still surface through wait().
-    pool.submit([] { throw std::runtime_error("serial"); });
-    EXPECT_THROW(pool.wait(), std::runtime_error);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::thread::id> ranOn(10);
+    std::vector<std::size_t> order;
+    parallelFor(1, ranOn.size(), [&](std::size_t i) {
+        ranOn[i] = std::this_thread::get_id();
+        order.push_back(i);
+    });
+    for (std::size_t i = 0; i < ranOn.size(); ++i) {
+        EXPECT_EQ(ranOn[i], caller) << "index " << i;
+        EXPECT_EQ(order[i], i);
+    }
+    // Inline exceptions still surface, after the later indices ran.
+    std::size_t after = 0;
+    EXPECT_THROW(parallelFor(1, 3,
+                             [&after](std::size_t i) {
+                                 if (i == 0)
+                                     throw std::runtime_error("serial");
+                                 ++after;
+                             }),
+                 std::runtime_error);
+    EXPECT_EQ(after, 2u);
     // And parallelMap degenerates to an ordered serial loop.
     const auto out =
-        parallelMap(pool, 10, [](std::size_t i) { return i + 1; });
+        parallelMap(1, 10, [](std::size_t i) { return i + 1; });
     for (std::size_t i = 0; i < out.size(); ++i)
         EXPECT_EQ(out[i], i + 1);
+}
+
+/**
+ * Thread ids that run @p n indices at @p threads workers when every
+ * index waits (up to 10 s) for @p rendezvous indices to be in flight at
+ * once: a worker then cannot take a second index before that many
+ * threads hold one each.
+ */
+std::set<std::thread::id>
+threadsSeen(std::size_t threads, std::size_t n, std::size_t rendezvous)
+{
+    std::mutex mutex;
+    std::condition_variable cv;
+    std::size_t arrived = 0;
+    std::set<std::thread::id> seen;
+    parallelFor(threads, n, [&](std::size_t) {
+        std::unique_lock<std::mutex> lock(mutex);
+        seen.insert(std::this_thread::get_id());
+        ++arrived;
+        cv.notify_all();
+        cv.wait_for(lock, std::chrono::seconds(10),
+                    [&] { return arrived >= rendezvous; });
+    });
+    return seen;
+}
+
+TEST(ThreadPool, ParallelForNeverUsesMoreThreadsThanIndices)
+{
+    // 16 requested threads over 3 indices: the three indices rendezvous,
+    // so each runs on its own thread, and no fourth thread shows up.
+    EXPECT_EQ(threadsSeen(16, 3, 3).size(), 3u);
+    EXPECT_LE(threadsSeen(16, 3, 1).size(), 3u);
 }
 
 TEST(ThreadPool, EnvKnobForcesSerialFallback)
 {
     ScopedEnv env("HCLOUD_THREADS", "1");
     EXPECT_EQ(defaultThreadCount(), 1u);
-    ThreadPool pool; // 0 = auto -> env knob -> serial
-    EXPECT_TRUE(pool.serial());
+    // 0 = auto -> env knob -> serial: every index on the caller.
+    const std::set<std::thread::id> seen = threadsSeen(0, 8, 1);
+    ASSERT_EQ(seen.size(), 1u);
+    EXPECT_EQ(*seen.begin(), std::this_thread::get_id());
 }
 
 TEST(ThreadPool, EnvKnobParsesWorkerCount)
 {
     ScopedEnv env("HCLOUD_THREADS", "6");
     EXPECT_EQ(defaultThreadCount(), 6u);
-    ThreadPool pool;
-    EXPECT_EQ(pool.size(), 6u);
+    // 0 = auto -> six workers, caller included.
+    EXPECT_EQ(threadsSeen(0, 6, 6).size(), 6u);
 }
 
 TEST(ThreadPool, ParseThreadCountAcceptsPositiveIntegers)
@@ -259,48 +252,6 @@ TEST(ThreadPool, EnvKnobUnsetUsesHardwareThreads)
 {
     ScopedEnv env("HCLOUD_THREADS", nullptr);
     EXPECT_EQ(defaultThreadCount(), hardwareThreads());
-}
-
-TEST(ThreadPool, WorkersGaugeTracksLiveWorkerCount)
-{
-    obs::ProcessGauge& gauge = obs::ProcessMetrics::instance().gauge(
-        "hcloud_pool_workers");
-    const double before = gauge.value();
-    {
-        ThreadPool pool(3);
-        EXPECT_EQ(gauge.value(), before + 3.0);
-        {
-            ThreadPool serial(1); // serial pools contribute 0 workers
-            EXPECT_EQ(gauge.value(), before + 3.0);
-        }
-        ThreadPool second(2);
-        EXPECT_EQ(gauge.value(), before + 5.0);
-    }
-    // Destruction reclaims the gauge contribution, not the series.
-    EXPECT_EQ(gauge.value(), before);
-}
-
-TEST(ThreadPool, TaskMetricsDrainToZeroAfterWait)
-{
-    obs::ProcessMetrics& pm = obs::ProcessMetrics::instance();
-    obs::ProcessGauge& depth = pm.gauge("hcloud_pool_queue_depth");
-    obs::ProcessGauge& inflight = pm.gauge("hcloud_pool_inflight_tasks");
-    obs::ProcessCounter& completed =
-        pm.counter("hcloud_pool_tasks_completed_total");
-    const double depthBefore = depth.value();
-    const double inflightBefore = inflight.value();
-    const double completedBefore = completed.value();
-    {
-        ThreadPool pool(2);
-        for (int i = 0; i < 50; ++i)
-            pool.submit([] {});
-        pool.wait();
-        // Every completion is counted before wait() can observe
-        // pending == 0, so the counter is exact here, not eventual.
-        EXPECT_EQ(completed.value(), completedBefore + 50.0);
-    }
-    EXPECT_EQ(depth.value(), depthBefore);
-    EXPECT_EQ(inflight.value(), inflightBefore);
 }
 
 TEST(ThreadPool, HardwareThreadsIsPositive)

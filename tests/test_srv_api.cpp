@@ -39,7 +39,6 @@ class SrvApi : public ::testing::Test
     {
         srv::ServeConfig config;
         config.shards = 2;
-        config.threads = 2;
         config.httpWorkers = 2;
         app_ = std::make_unique<srv::ServeApp>(config, metrics_);
         ASSERT_TRUE(app_->start(0));
@@ -391,7 +390,6 @@ TEST(SrvApiLimits, AdvanceBeyondMaxHorizonIs422)
     obs::ProcessMetrics metrics;
     srv::ServeConfig config;
     config.shards = 2;
-    config.threads = 2;
     config.httpWorkers = 2;
     config.maxAdvance = 1000.0;
     srv::ServeApp app(config, metrics);
@@ -709,7 +707,6 @@ TEST_F(SrvApi, DeleteRacingSubmitsLeavesNoTenantSeries)
     // a 4-vCPU host).
     srv::ServeConfig config;
     config.shards = 2;
-    config.threads = 2;
     config.httpWorkers = 4;
     obs::ProcessMetrics metrics;
     srv::ServeApp app(config, metrics);
@@ -834,7 +831,6 @@ class SrvSpans : public ::testing::Test
                     std::to_string(::getpid()) + ".jsonl";
         srv::ServeConfig config;
         config.shards = 2;
-        config.threads = 2;
         config.httpWorkers = 2;
         config.spanPath = spanPath_;
         app_ = std::make_unique<srv::ServeApp>(config, metrics_);

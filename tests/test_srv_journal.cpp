@@ -9,11 +9,13 @@
  * (session count + per-tenant journal quota as structured 429s).
  *
  * Every test runs in its own mkdtemp data dir; the SIGKILL test fork/
- * execs the hcloud_serve binary (HCLOUD_SERVE_BIN, wired by CMake).
+ * execs the hcloud_serve binary (HCLOUD_SERVE_BIN, wired by CMake), and
+ * so does the check that the binary rejects bad flags before it starts.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -86,7 +88,6 @@ class SrvJournal : public ::testing::Test
     makeApp(const std::string& dataDir, srv::ServeConfig config = {})
     {
         config.shards = 2;
-        config.threads = 2;
         config.httpWorkers = 2;
         config.journal.dataDir = dataDir;
         registries_.push_back(std::make_unique<obs::ProcessMetrics>());
@@ -717,9 +718,9 @@ spawnDaemon(const std::string& dataDir, Daemon* daemon)
         ::close(fds[0]);
         ::close(fds[1]);
         ::execl(HCLOUD_SERVE_BIN, HCLOUD_SERVE_BIN, "--port", "0",
-                "--shards", "2", "--threads", "2", "--http-workers",
-                "2", "--data-dir", dataDir.c_str(), "--fsync",
-                "always", static_cast<char*>(nullptr));
+                "--shards", "2", "--http-workers", "2", "--data-dir",
+                dataDir.c_str(), "--fsync", "always",
+                static_cast<char*>(nullptr));
         _exit(127); // exec failed
     }
     ::close(fds[1]);
@@ -780,6 +781,52 @@ TEST_F(SrvJournal, SigkillRecoveryIsByteIdentical)
     const srv::ClientResponse job =
         client.post("/v1/tenants/acme/jobs", jobBody(130.0));
     EXPECT_EQ(job.status, 200) << job.body;
+}
+
+/**
+ * Exit code of hcloud_serve run with @p args (after --port 0) and its
+ * output discarded, or -1 when it is still running after 10 s: a
+ * binary that accepts a flag it should reject starts a daemon that
+ * never exits, so it is killed and counted as a failure.
+ */
+int
+serveExitCode(const std::vector<const char*>& args)
+{
+    // Built before fork(): the child only makes async-signal-safe calls.
+    std::vector<const char*> argv = {HCLOUD_SERVE_BIN, "--port", "0"};
+    argv.insert(argv.end(), args.begin(), args.end());
+    argv.push_back(nullptr);
+    const pid_t pid = ::fork();
+    if (pid < 0)
+        return -1;
+    if (pid == 0) {
+        const int null = ::open("/dev/null", O_WRONLY);
+        ::dup2(null, STDOUT_FILENO);
+        ::dup2(null, STDERR_FILENO);
+        ::execv(HCLOUD_SERVE_BIN, const_cast<char* const*>(argv.data()));
+        _exit(127); // exec failed
+    }
+    int status = 0;
+    for (int waited = 0; waited < 1000; ++waited) {
+        if (::waitpid(pid, &status, WNOHANG) == pid)
+            return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, nullptr, 0);
+    return -1;
+}
+
+TEST(ServeCli, RejectsOutOfRangeAndRemovedFlags)
+{
+    // 2^44 MiB is 2^64 bytes: shifted into 64 bits it wrapped to 0
+    // (unbounded), and one more MiB became a 1 MiB cap.
+    EXPECT_EQ(serveExitCode({"--max-journal-mb", "17592186044416"}), 2);
+    EXPECT_EQ(serveExitCode({"--max-journal-mb", "17592186044417"}), 2);
+    // Past LONG_MAX: strtol clamped it instead of failing.
+    EXPECT_EQ(serveExitCode({"--shards", "99999999999999999999"}), 2);
+    // The strand pool and its flag are gone.
+    EXPECT_EQ(serveExitCode({"--threads", "2"}), 2);
 }
 
 } // namespace

@@ -145,7 +145,6 @@ expectHttpMatchesBatch(bool useProfiling, double duration)
     obs::ProcessMetrics metrics;
     srv::ServeConfig config;
     config.shards = 2;
-    config.threads = 2;
     config.httpWorkers = 2;
     srv::ServeApp app(config, metrics);
     ASSERT_TRUE(app.start(0));
@@ -271,7 +270,6 @@ TEST(ServeDeterminism, HttpTimelineJsonlMatchesBatchRunner)
     obs::ProcessMetrics metrics;
     srv::ServeConfig config;
     config.shards = 2;
-    config.threads = 2;
     config.httpWorkers = 2;
     // A deliberately different daemon default: the explicit per-session
     // config must win, or replay-equivalence is broken.
@@ -353,7 +351,6 @@ TEST(ServeConcurrency, FourTenantsFourClientThreads)
     obs::ProcessMetrics metrics;
     srv::ServeConfig config;
     config.shards = 4;
-    config.threads = 4;
     config.httpWorkers = 4;
     srv::ServeApp app(config, metrics);
     ASSERT_TRUE(app.start(0));
