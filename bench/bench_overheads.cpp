@@ -21,6 +21,7 @@
 #include "core/engine.hpp"
 #include "core/mapping_policy.hpp"
 #include "core/placement.hpp"
+#include "core/quality_tracker.hpp"
 #include "core/queue_estimator.hpp"
 #include "obs/process_metrics.hpp"
 #include "obs/prom_text.hpp"
@@ -30,6 +31,7 @@
 #include "profiling/quasar.hpp"
 #include "runtime/sharded_executor.hpp"
 #include "sim/simulator.hpp"
+#include "sim/stats.hpp"
 #include "workload/archetypes.hpp"
 #include "workload/scenario.hpp"
 
@@ -133,6 +135,60 @@ BM_QueueEstimator(benchmark::State& state)
     }
 }
 BENCHMARK(BM_QueueEstimator);
+
+/**
+ * Q90 of one type after 57 new records into its full 512-value window:
+ * the ratio of records to stale-window queries in a sim-fig12 pass
+ * (3,020,280 records, 53,016 such queries over 4 passes).
+ */
+void
+BM_QualityTrackerQuery(benchmark::State& state)
+{
+    const cloud::ProviderProfile gce = cloud::ProviderProfile::gce();
+    core::QualityTracker tracker(gce, sim::Rng(3));
+    const auto& st4 =
+        cloud::InstanceTypeCatalog::defaultCatalog().byName("st4");
+    sim::Rng rng(7);
+    std::vector<double> values(4096);
+    for (double& v : values)
+        v = rng.uniform(0.02, 1.0);
+    std::size_t next = 0;
+    auto record = [&] {
+        tracker.record(st4, values[next]);
+        next = (next + 1) % values.size();
+    };
+    for (std::size_t i = 0; i < core::QualityTracker::kMaxSamples; ++i)
+        record();
+    benchmark::DoNotOptimize(tracker.qualityAtConfidence(st4, 0.90));
+    for (auto _ : state) {
+        for (int i = 0; i < 57; ++i)
+            record();
+        benchmark::DoNotOptimize(tracker.qualityAtConfidence(st4, 0.90));
+    }
+}
+BENCHMARK(BM_QualityTrackerQuery);
+
+/**
+ * A service's p99 set at completion: 229 per-tick samples, asked for the
+ * 0.95 quantile three times (tracer argument, perfNormalized,
+ * achievedLatencyUs). Refilling the set is a copy into kept capacity.
+ */
+void
+BM_SampleSetQuantileOnce(benchmark::State& state)
+{
+    sim::Rng rng(11);
+    std::vector<double> values(229);
+    for (double& v : values)
+        v = rng.lognormal(7.0, 0.5);
+    sim::SampleSet set;
+    for (auto _ : state) {
+        set.clear();
+        set.addAll(values);
+        for (int i = 0; i < 3; ++i)
+            benchmark::DoNotOptimize(set.quantile(0.95));
+    }
+}
+BENCHMARK(BM_SampleSetQuantileOnce);
 
 /**
  * Full engine run with the tracer off (Arg 0), ring-only (Arg 1), or

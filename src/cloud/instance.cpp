@@ -93,8 +93,15 @@ double
 Instance::effectiveQuality(sim::Time t, double sensitivity,
                            std::optional<sim::JobId> self)
 {
+    return qualityUnderPressure(t, sensitivity,
+                                interferencePressure(t, self));
+}
+
+double
+Instance::qualityUnderPressure(sim::Time t, double sensitivity,
+                               double pressure)
+{
     const double base = baseQuality(t);
-    const double pressure = interferencePressure(t, self);
     // Even interference-tolerant jobs lose raw capacity to neighbours
     // (CPU stealing); sensitivity scales the part beyond that.
     const double factor = 0.25 + 0.75 * std::clamp(sensitivity, 0.0, 1.0);

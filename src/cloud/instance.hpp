@@ -131,10 +131,18 @@ class Instance
 
     /**
      * Capacity multiplier for a job with the given interference
-     * sensitivity, in [0.02, 1].
+     * sensitivity, in [0.02, 1]: qualityUnderPressure() at the
+     * interferencePressure(t, self) the job feels.
      */
     double effectiveQuality(sim::Time t, double sensitivity,
                             std::optional<sim::JobId> self);
+
+    /**
+     * effectiveQuality() for a caller that already holds the job's
+     * interferencePressure(t, self) as @p pressure.
+     */
+    double qualityUnderPressure(sim::Time t, double sensitivity,
+                                double pressure);
 
     /**
      * Last materialized quality without advancing anything: the last

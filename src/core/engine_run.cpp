@@ -262,7 +262,8 @@ EngineRun::advanceJob(workload::Job& job, sim::Time t)
     const workload::JobSpec& spec = job.spec();
     cloud::Instance* inst = job.instance;
     const double sens = job.sensitivityScalar();
-    const double q = inst->effectiveQuality(t, sens, job.id());
+    const double pressure = inst->interferencePressure(t, job.id());
+    const double q = inst->qualityUnderPressure(t, sens, pressure);
     // Without profiling, jobs run with user-default framework
     // parameters (Section 3.4: 64KB block size, 1GB heaps, default
     // thread counts), which roughly halves delivered efficiency.
@@ -286,7 +287,6 @@ EngineRun::advanceJob(workload::Job& job, sim::Time t)
         job.workDone = done;
         violating = rate / spec.coresIdeal < 0.33;
     } else {
-        const double pressure = inst->interferencePressure(t, job.id());
         // Interference bites serving *capacity* less than batch
         // throughput (the tail term below carries the rest):
         // neighbours inflate latency well before they truly halve

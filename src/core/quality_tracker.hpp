@@ -12,9 +12,11 @@
 #ifndef HCLOUD_CORE_QUALITY_TRACKER_HPP
 #define HCLOUD_CORE_QUALITY_TRACKER_HPP
 
+#include <cstdint>
 #include <deque>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cloud/instance_type.hpp"
@@ -56,17 +58,28 @@ class QualityTracker
     std::size_t samples(const cloud::InstanceType& type) const;
 
   private:
+    /**
+     * One type's window and its sorted copy. record() only appends,
+     * evicts and counts; qualityAtConfidence() brings @c sorted up to
+     * date by dropping the evicted entries, sorting the values recorded
+     * since the last query and merging them in. Equal values in the
+     * window are identical doubles (clamped qualities and beta priors:
+     * no NaN, no -0.0), so the merged copy holds the same doubles in
+     * the same order as a fresh sort of @c window would.
+     */
     struct TypeState
     {
+        /** Values in arrival order, at most kMaxSamples. */
         std::deque<double> window;
         /**
-         * Sorted copy of @c window, rebuilt lazily. record() marks it
-         * dirty; qualityAtConfidence() re-sorts only when the window
-         * actually changed, so the many same-tick quantile queries share
-         * one sort instead of copying and sorting per call.
+         * Values ever recorded for the type, priors included: window[i]
+         * has sequence number recorded - window.size() + i.
          */
-        std::vector<double> sorted;
-        bool dirty = true;
+        std::uint64_t recorded = 0;
+        /** @c window as (value, sequence number), ascending by value. */
+        std::vector<std::pair<double, std::uint64_t>> sorted;
+        /** @c recorded when @c sorted was last brought up to date. */
+        std::uint64_t sortedUpTo = 0;
     };
 
     TypeState& stateFor(const cloud::InstanceType& type) const;

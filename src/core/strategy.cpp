@@ -336,9 +336,9 @@ Strategy::qosCheck(workload::Job& job, bool violating)
         return;
     }
     cloud::Instance* inst = job.instance;
-    const JobSizing& s = sizingOf(job);
-    const bool can_boost =
-        inst->coresFree() >= 1.0 && job.cores < 2.0 * s.cores;
+    // The monitor reads can_boost only on a violating check.
+    const bool can_boost = violating && inst->coresFree() >= 1.0 &&
+        job.cores < 2.0 * sizingOf(job).cores;
     const sim::Time now = ctx_.simulator.now();
     const QosAction action = qosMonitor_.check(
         job.id(), violating, can_boost, job.reschedules, now);

@@ -321,11 +321,14 @@ class Parser
         }
     }
 
-    JsonValue parseValue()
+    /** @p depth: arrays and objects enclosing the value at pos_. */
+    JsonValue parseValue(std::size_t depth = 0)
     {
         skipWs();
         JsonValue v;
         char c = peek();
+        if ((c == '{' || c == '[') && depth == kMaxJsonDepth)
+            fail("nesting too deep");
         if (c == '{') {
             ++pos_;
             v.type = JsonValue::Type::Object;
@@ -339,7 +342,8 @@ class Parser
                 std::string key = parseString();
                 skipWs();
                 expect(':');
-                v.object.emplace_back(std::move(key), parseValue());
+                v.object.emplace_back(std::move(key),
+                                      parseValue(depth + 1));
                 skipWs();
                 if (peek() == ',') {
                     ++pos_;
@@ -358,7 +362,7 @@ class Parser
                 return v;
             }
             while (true) {
-                v.array.push_back(parseValue());
+                v.array.push_back(parseValue(depth + 1));
                 skipWs();
                 if (peek() == ',') {
                     ++pos_;

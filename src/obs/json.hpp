@@ -16,6 +16,7 @@
 #ifndef HCLOUD_OBS_JSON_HPP
 #define HCLOUD_OBS_JSON_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -120,8 +121,17 @@ struct JsonValue
 };
 
 /**
+ * Deepest nesting of arrays and objects parseJson() accepts. The parser
+ * recurses once per level, so without a cap a request body or journal
+ * line of a few hundred thousand '[' overflows the stack. The deepest
+ * document the program writes nests about 7 levels.
+ */
+inline constexpr std::size_t kMaxJsonDepth = 64;
+
+/**
  * Parse one JSON document from @p text.
- * @throws std::runtime_error on malformed input.
+ * @throws std::runtime_error on malformed input, including nesting
+ *         deeper than kMaxJsonDepth.
  */
 JsonValue parseJson(std::string_view text);
 

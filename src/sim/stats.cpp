@@ -72,6 +72,7 @@ SampleSet::add(double x)
 {
     samples_.push_back(x);
     sortedValid_ = false;
+    selected_ = false;
 }
 
 void
@@ -79,6 +80,7 @@ SampleSet::addAll(const std::vector<double>& xs)
 {
     samples_.insert(samples_.end(), xs.begin(), xs.end());
     sortedValid_ = false;
+    selected_ = false;
 }
 
 void
@@ -129,14 +131,32 @@ SampleSet::quantile(double q) const
     // builds fed an all-failed cell.
     if (samples_.empty())
         return 0.0;
-    ensureSorted();
     q = std::clamp(q, 0.0, 1.0);
-    const double pos = q * static_cast<double>(sorted_.size() - 1);
+    const double pos = q * static_cast<double>(samples_.size() - 1);
     const std::size_t lo = static_cast<std::size_t>(std::floor(pos));
     const std::size_t hi = static_cast<std::size_t>(std::ceil(pos));
+    const double frac = pos - static_cast<double>(lo);
+    if (!sortedValid_) {
+        if (selected_ && q == selectedQ_)
+            return selectedValue_;
+        if (!selected_) {
+            // Select rank lo, then rank hi as the least value above it.
+            sorted_ = samples_;
+            const auto at_lo =
+                sorted_.begin() + static_cast<std::ptrdiff_t>(lo);
+            std::nth_element(sorted_.begin(), at_lo, sorted_.end());
+            selected_ = true;
+            selectedQ_ = q;
+            selectedValue_ = lo == hi
+                ? *at_lo
+                : *at_lo * (1.0 - frac) +
+                      *std::min_element(at_lo + 1, sorted_.end()) * frac;
+            return selectedValue_;
+        }
+    }
+    ensureSorted();
     if (lo == hi)
         return sorted_[lo];
-    const double frac = pos - static_cast<double>(lo);
     return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
 }
 
@@ -179,6 +199,7 @@ SampleSet::clear()
     samples_.clear();
     sorted_.clear();
     sortedValid_ = true;
+    selected_ = false;
 }
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)

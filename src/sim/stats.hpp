@@ -65,8 +65,16 @@ struct BoxplotSummary
  * Sample container with quantile queries.
  *
  * Samples are stored verbatim; quantiles use linear interpolation between
- * order statistics (type-7, the numpy default). Sorting is deferred and
- * cached until the next insertion.
+ * order statistics (type-7, the numpy default). A sorted copy is built
+ * on demand and kept until the next insertion. The first quantile()
+ * after an insertion does not sort: it selects the two order statistics
+ * it interpolates and keeps that one answer, since many sets (a
+ * service's per-tick p99s) are asked for a single quantile, a few
+ * times, after their last insertion. A second, different quantile sorts,
+ * as do min(), max(), cdf(), sorted() and boxplot(). A selected order
+ * statistic is the double a sort puts at that rank whenever samples that
+ * compare equal are identical doubles, i.e. the set does not mix -0.0
+ * with 0.0 (and holds no NaN, which neither way orders).
  */
 class SampleSet
 {
@@ -117,8 +125,13 @@ class SampleSet
     void ensureSorted() const;
 
     std::vector<double> samples_;
+    /** Sorted copy when sortedValid_; else scratch for the selection. */
     mutable std::vector<double> sorted_;
     mutable bool sortedValid_ = false;
+    /** The one quantile selected since the last insertion, if any. */
+    mutable bool selected_ = false;
+    mutable double selectedQ_ = 0.0;
+    mutable double selectedValue_ = 0.0;
 };
 
 /**

@@ -6,6 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <deque>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "cloud/provider.hpp"
 #include "core/cluster.hpp"
 #include "core/placement.hpp"
@@ -194,6 +201,83 @@ TEST(QualityTracker, TighterConfidenceReportsLowerQuality)
               tracker.qualityAtConfidence(st4, 0.90));
     EXPECT_LE(tracker.qualityAtConfidence(st4, 0.90),
               tracker.qualityAtConfidence(st4, 0.50));
+}
+
+/**
+ * The tracker's merged window against a reference that keeps the plain
+ * deque and copies, sorts and interpolates it on every query. Values are
+ * rounded to 1/64 so ties are common; bursts of 600-1,500 records turn a
+ * window over between two queries; st16 is queried before its first
+ * record. Both sides draw priors from the same stream in first-touch
+ * order.
+ */
+TEST(QualityTracker, MergedWindowMatchesFreshSort)
+{
+    const cloud::ProviderProfile gce = cloud::ProviderProfile::gce();
+    QualityTracker tracker(gce, sim::Rng(5));
+    sim::Rng priors(5);
+    const cloud::InstanceType* types[] = {
+        &typeNamed("st1"), &typeNamed("st4"), &typeNamed("st16")};
+    std::map<std::string, std::deque<double>> windows;
+    auto window = [&](const cloud::InstanceType& type)
+        -> std::deque<double>& {
+        auto [it, fresh] = windows.try_emplace(type.name);
+        if (fresh) {
+            const double mean = gce.spatialMean.at(type.vcpus);
+            const double kappa = gce.spatialConcentration.at(type.vcpus);
+            for (std::size_t i = 0; i < QualityTracker::kPriorSamples; ++i)
+                it->second.push_back(
+                    priors.beta(mean * kappa, (1.0 - mean) * kappa));
+        }
+        return it->second;
+    };
+    auto record = [&](const cloud::InstanceType& type, double value) {
+        tracker.record(type, value);
+        std::deque<double>& w = window(type);
+        w.push_back(value);
+        if (w.size() > QualityTracker::kMaxSamples)
+            w.pop_front();
+    };
+    auto reference = [&](const cloud::InstanceType& type, double confidence) {
+        const std::deque<double>& w = window(type);
+        std::vector<double> sorted(w.begin(), w.end());
+        std::sort(sorted.begin(), sorted.end());
+        const double q = std::clamp(1.0 - confidence, 0.0, 1.0);
+        const double pos = q * static_cast<double>(sorted.size() - 1);
+        const std::size_t lo = static_cast<std::size_t>(pos);
+        const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+        const double frac = pos - static_cast<double>(lo);
+        return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+    };
+
+    const double kConfidences[] = {0.0, 0.1, 0.5, 0.9, 0.99, 1.0};
+    sim::Rng rng(77);
+    auto value = [&rng] { return std::round(rng.uniform() * 64.0) / 64.0; };
+    auto query = [&](const cloud::InstanceType& type) {
+        const double c = kConfidences[rng.uniformInt(0, 5)];
+        const double expected = reference(type, c);
+        ASSERT_EQ(tracker.qualityAtConfidence(type, c), expected)
+            << type.name << " confidence " << c;
+        ASSERT_EQ(tracker.samples(type), window(type).size());
+    };
+    query(*types[2]);
+    for (int step = 0; step < 20000; ++step) {
+        const cloud::InstanceType& type = *types[rng.uniformInt(0, 2)];
+        const double roll = rng.uniform();
+        if (roll < 0.002) {
+            const int burst = static_cast<int>(rng.uniformInt(600, 1500));
+            for (int i = 0; i < burst; ++i)
+                record(type, value());
+        } else if (roll < 0.6) {
+            record(type, value());
+        } else {
+            query(type);
+        }
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+    for (const cloud::InstanceType* type : types)
+        query(*type);
 }
 
 TEST(SoftLimit, DropsUnderQueueingRecoversWhenCalm)

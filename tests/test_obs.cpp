@@ -84,6 +84,27 @@ TEST(ObsJson, ParserRejectsMalformedInput)
     EXPECT_THROW(obs::parseJson("{} trailing"), std::runtime_error);
 }
 
+/**
+ * The parser recurses once per array or object level; past the cap it
+ * throws instead of overflowing the stack.
+ */
+TEST(ObsJson, NestingBeyondLimitIsAParseError)
+{
+    auto nested = [](std::size_t depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    const obs::JsonValue deepest = obs::parseJson(nested(obs::kMaxJsonDepth));
+    EXPECT_EQ(deepest.type, obs::JsonValue::Type::Array);
+    EXPECT_NO_THROW(obs::parseJson(
+        "{\"a\":" + nested(obs::kMaxJsonDepth - 1) + "}"));
+    EXPECT_THROW(obs::parseJson(nested(obs::kMaxJsonDepth + 1)),
+                 std::runtime_error);
+    EXPECT_THROW(obs::parseJson("{\"a\":" + nested(obs::kMaxJsonDepth) + "}"),
+                 std::runtime_error);
+    EXPECT_THROW(obs::parseJson(std::string(1000000, '[')),
+                 std::runtime_error);
+}
+
 // ---------------------------------------------------------------------------
 // Event taxonomy
 

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
@@ -123,6 +125,100 @@ TEST(SampleSet, EmpiricalCdf)
     EXPECT_DOUBLE_EQ(s.cdf(2.0), 0.5);
     EXPECT_DOUBLE_EQ(s.cdf(2.5), 0.5);
     EXPECT_DOUBLE_EQ(s.cdf(10.0), 1.0);
+}
+
+/** Type-7 quantile of @p xs by a full sort, as SampleSet defines it. */
+double
+referenceQuantile(std::vector<double> xs, double q)
+{
+    if (xs.empty())
+        return 0.0;
+    std::sort(xs.begin(), xs.end());
+    const double pos = q * static_cast<double>(xs.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(std::floor(pos));
+    const std::size_t hi = static_cast<std::size_t>(std::ceil(pos));
+    if (lo == hi)
+        return xs[lo];
+    const double frac = pos - static_cast<double>(lo);
+    return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+}
+
+/** Every sorted-copy query of @p s against a full sort of @p xs. */
+void
+expectSortedQueriesMatch(const SampleSet& s, std::vector<double> xs)
+{
+    const BoxplotSummary b = s.boxplot();
+    EXPECT_EQ(b.p5, referenceQuantile(xs, 0.05));
+    EXPECT_EQ(b.p25, referenceQuantile(xs, 0.25));
+    EXPECT_EQ(b.p75, referenceQuantile(xs, 0.75));
+    EXPECT_EQ(b.p95, referenceQuantile(xs, 0.95));
+    EXPECT_EQ(b.count, xs.size());
+    std::sort(xs.begin(), xs.end());
+    EXPECT_EQ(s.sorted(), xs);
+    EXPECT_EQ(s.min(), xs.front());
+    EXPECT_EQ(s.max(), xs.back());
+    const double mid = xs[xs.size() / 2];
+    const auto at_or_below = std::upper_bound(xs.begin(), xs.end(), mid);
+    EXPECT_EQ(s.cdf(mid), static_cast<double>(at_or_below - xs.begin()) /
+                              static_cast<double>(xs.size()));
+}
+
+/**
+ * The first quantile after an insertion is selected, not sorted; it and
+ * everything after it must give the doubles a full sort gives. Values
+ * are rounded to 1/16 so ties are common.
+ */
+TEST(SampleSet, SelectedQuantileMatchesSortedReference)
+{
+    const double kQs[] = {0.0, 0.05, 0.123, 0.5, 0.95, 0.99, 1.0};
+    Rng rng(19);
+    auto draw = [&rng] { return std::round(rng.uniform() * 16.0) / 16.0; };
+    for (std::size_t n : {1u, 2u, 3u, 10u, 229u, 1000u}) {
+        for (double q : kQs) {
+            SCOPED_TRACE(::testing::Message() << "n=" << n << " q=" << q);
+            std::vector<double> xs(n);
+            for (double& x : xs)
+                x = draw();
+            SampleSet s;
+            s.addAll(xs);
+            // Selected, then the stored answer, then sorted for a new q.
+            EXPECT_EQ(s.quantile(q), referenceQuantile(xs, q));
+            EXPECT_EQ(s.quantile(q), referenceQuantile(xs, q));
+            const double other = q == 0.5 ? 0.123 : 0.5;
+            EXPECT_EQ(s.quantile(other), referenceQuantile(xs, other));
+            EXPECT_EQ(s.quantile(q), referenceQuantile(xs, q));
+            expectSortedQueriesMatch(s, xs);
+
+            // Each insertion drops the stored answer. A value below every
+            // other sample moves the low quantiles.
+            s.add(-1.0);
+            xs.push_back(-1.0);
+            EXPECT_EQ(s.quantile(q), referenceQuantile(xs, q));
+            expectSortedQueriesMatch(s, xs);
+            EXPECT_EQ(s.quantile(q), referenceQuantile(xs, q));
+
+            const std::vector<double> more = {draw(), 2.0, draw()};
+            s.addAll(more);
+            xs.insert(xs.end(), more.begin(), more.end());
+            EXPECT_EQ(s.quantile(q), referenceQuantile(xs, q));
+            expectSortedQueriesMatch(s, xs);
+
+            SampleSet tail;
+            tail.add(-2.0);
+            tail.add(draw());
+            s.merge(tail);
+            xs.insert(xs.end(), tail.raw().begin(), tail.raw().end());
+            EXPECT_EQ(s.quantile(q), referenceQuantile(xs, q));
+            expectSortedQueriesMatch(s, xs);
+
+            s.clear();
+            EXPECT_EQ(s.quantile(q), 0.0);
+            const double last = draw();
+            s.add(last);
+            EXPECT_EQ(s.quantile(q), last);
+            expectSortedQueriesMatch(s, {last});
+        }
+    }
 }
 
 TEST(SampleSet, MergeAndClear)

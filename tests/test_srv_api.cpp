@@ -212,6 +212,16 @@ TEST_F(SrvApi, TruncatedBodyIs400BadJson)
     EXPECT_EQ(errorCode(json), "bad_json");
 }
 
+TEST_F(SrvApi, DeeplyNestedBodyIs400)
+{
+    // 200 KB of '[' fits the body cap; unbounded parser recursion used
+    // to overflow the worker's stack and kill the daemon.
+    auto [status, json] = post("/v1/tenants", std::string(200000, '['));
+    EXPECT_EQ(status, 400);
+    EXPECT_EQ(errorCode(json), "bad_json");
+    EXPECT_EQ(get("/healthz").first, 200);
+}
+
 TEST_F(SrvApi, EmptyBodyIs400)
 {
     auto [status, json] = post("/v1/tenants", "");

@@ -391,6 +391,38 @@ TEST_F(SrvJournal, RestartTruncatesCorruptTailAndKeepsPrefix)
 }
 
 /**
+ * A journal line nested past the JSON parser's depth cap fails to parse
+ * like any corrupt line: replay drops it and restores the prefix, where
+ * unbounded recursion used to crash every restart.
+ */
+TEST_F(SrvJournal, DeeplyNestedLineIsDroppedOnReplay)
+{
+    std::string cleanReport;
+    {
+        auto app = makeApp(dataDir_);
+        srv::HttpClient client(app->boundPort());
+        driveTenant(client, "acme");
+        cleanReport = report(client, "acme");
+    }
+    const std::string path = srv::SessionJournal::pathFor(dataDir_,
+                                                          "acme");
+    {
+        std::ofstream out(path, std::ios::app | std::ios::binary);
+        out << std::string(200000, '[') << '\n';
+    }
+    const srv::JournalLoad load = srv::loadJournal(path);
+    ASSERT_TRUE(load.ok) << load.error;
+    EXPECT_EQ(load.records.size(), 4u);
+    EXPECT_EQ(load.droppedLines, 1u);
+
+    auto app = makeApp(dataDir_);
+    EXPECT_EQ(app->sessions().lifecycleStats().restored, 1u);
+    EXPECT_EQ(app->sessions().lifecycleStats().truncatedLines, 1u);
+    srv::HttpClient client(app->boundPort());
+    EXPECT_EQ(report(client, "acme"), cleanReport);
+}
+
+/**
  * Non-finite numbers (the parser reads `nan` and `1e999` as numbers) are
  * rejected before they reach the journal: JSON has no literal for them,
  * so a journaled `null` used to stop replay at that line and lose every
